@@ -76,6 +76,8 @@ _LABEL_DOMAINS = (
     ("counters", "sdc_outcomes_total", "outcome", "sdc_outcome"),
     ("counters", "service_jobs_total", "state", "job_state"),
     ("counters", "service_cache_requests_total", "result", "cache_result"),
+    ("counters", "evaluation_cache_total", "cache", "evaluation_cache"),
+    ("counters", "evaluation_cache_total", "result", "cache_result"),
     ("counters", "tta_runs_total", "backend", "simulator_backend"),
     ("counters", "tta_cycles_total", "backend", "simulator_backend"),
     ("counters", "tta_moves_total", "backend", "simulator_backend"),

@@ -168,7 +168,6 @@ def _runner(factory, *, jobs: int, journal: Optional[str], resume: bool,
 
 
 def evaluate(config: ArchitectureConfiguration, *,
-             jobs: int = 1,
              entries: int = 100,
              packets: int = 12,
              hazards: bool = False,
@@ -179,10 +178,8 @@ def evaluate(config: ArchitectureConfiguration, *,
     *entries*/*packets* size the routing-table workload; *hazards*
     attaches the TTA hazard detector; *max_cycles* caps the simulation;
     *backend* picks the simulation engine (see :func:`backends`).
-    *jobs* is accepted for signature symmetry with the sweep entry
-    points — a single evaluation always runs in-process.
+    A single evaluation always runs in-process.
     """
-    del jobs  # a single evaluation has nothing to fan out
     factory = _evaluator_factory(entries, packets, hazards, backend)
     return factory().evaluate(config, max_cycles=max_cycles)
 

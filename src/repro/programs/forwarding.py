@@ -49,6 +49,7 @@ from repro.asm.assembler import assemble
 from repro.asm.ir import IrProgram, ProgramBuilder
 from repro.dse.config import HARDWARE_SEARCH_KINDS
 from repro.errors import ProgramError
+from repro.memo import EvaluationMemo
 from repro.programs.machine import RouterMachine
 from repro.tta.fus.rtu import (
     NIL_INDEX,
@@ -103,6 +104,14 @@ class ForwardingProgramFactory:
         self._emit_found(builder)
         self._emit_drop(builder)
         return builder.build()
+
+    def cache_key(self) -> tuple:
+        """What :meth:`assemble` depends on: the processor's shape, the
+        mode, and the configuration fields the generator reads. Not the
+        configuration itself: the trie/Bloom RTU latency comes from the
+        table, and a caller's machine may restrict socket connectivity."""
+        return (self.machine.processor.shape_key(), self.mode,
+                self.config.table_kind, self.config.bus_count, self.strands)
 
     def assemble(self) -> ProgramMemory:
         # The generator emits explicitly ordered moves; the optimiser's
@@ -511,7 +520,22 @@ class ForwardingProgramFactory:
         b.jump("tree_chain")
 
 
+#: assembled programs by :meth:`ForwardingProgramFactory.cache_key`; a
+#: ProgramMemory is read-only and names ports by string, so one program
+#: serves every machine of its shape and pins none of them
+_PROGRAMS = EvaluationMemo("program", maxsize=64)
+
+
 def build_forwarding_program(machine: RouterMachine,
                              mode: str = MODE_BENCH) -> ProgramMemory:
-    """Generate and assemble the forwarding program for *machine*."""
-    return ForwardingProgramFactory(machine, mode=mode).assemble()
+    """Generate and assemble the forwarding program for *machine*.
+
+    Memoized per machine shape and mode (see
+    :meth:`ForwardingProgramFactory.cache_key`).
+    """
+    factory = ForwardingProgramFactory(machine, mode=mode)
+    key = factory.cache_key()
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS.put(key, factory.assemble())
+    return program

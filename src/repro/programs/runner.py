@@ -9,7 +9,6 @@ semantics, and reports cycles-per-datagram plus utilisation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -17,6 +16,7 @@ from repro.dse.config import ArchitectureConfiguration
 from repro.errors import SimulationError
 from repro.ipv6.address import Ipv6Address
 from repro.ipv6.packet import validate_for_forwarding
+from repro.memo import EvaluationMemo
 from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
 from repro.programs.machine import RouterMachine, build_machine
 from repro.routing import make_table
@@ -67,11 +67,6 @@ class RunOptions:
     def effective_max_cycles(self) -> int:
         return DEFAULT_RUN_MAX_CYCLES if self.max_cycles is None \
             else self.max_cycles
-
-
-#: kwargs of the pre-RunOptions run_forwarding signature that now live on
-#: the options object; still accepted, with a DeprecationWarning
-_LEGACY_OPTION_KWARGS = ("detect_hazards", "instrument", "program_factory")
 
 
 @dataclass
@@ -150,30 +145,16 @@ def run_forwarding(config: ArchitectureConfiguration,
                    options: Optional[RunOptions] = None,
                    max_cycles: Optional[int] = None,
                    verify: Optional[bool] = None,
-                   backend: Optional[str] = None,
-                   **legacy) -> ForwardingRunResult:
+                   backend: Optional[str] = None) -> ForwardingRunResult:
     """Simulate one batch of datagrams through a fresh machine.
 
     Execution and observation knobs travel on *options* (a
     :class:`RunOptions`); *max_cycles*, *verify* and *backend* stay
     first-class keyword shortcuts that override the options object when
-    given. The pre-options ``detect_hazards=`` / ``instrument=`` /
-    ``program_factory=`` keywords still work but emit a
-    ``DeprecationWarning``.
+    given.
     """
     if options is None:
         options = RunOptions()
-    if legacy:
-        unknown = [key for key in legacy if key not in _LEGACY_OPTION_KWARGS]
-        if unknown:
-            raise TypeError(
-                f"run_forwarding() got unexpected keyword arguments "
-                f"{sorted(unknown)}")
-        warnings.warn(
-            f"passing {sorted(legacy)} to run_forwarding() directly is "
-            f"deprecated; put them on a RunOptions (options=...) instead",
-            DeprecationWarning, stacklevel=2)
-        options = options.merged(**legacy)
     options = options.merged(max_cycles=max_cycles, verify=verify,
                              backend=backend)
 
@@ -218,9 +199,27 @@ def run_forwarding(config: ArchitectureConfiguration,
     )
 
 
+#: golden expectations by (routes, packets) content: a campaign verifies
+#: every configuration against the same workload, so the reference
+#: table is built once per workload rather than once per run
+_GOLDEN = EvaluationMemo("golden", maxsize=16)
+
+
+def _golden(routes: Sequence[RouteEntry],
+            packets: Sequence[Tuple[int, bytes]],
+            ) -> Tuple[Optional[Tuple[int, bytes]], ...]:
+    """:func:`expected_forwarding`, memoized on the workload's content."""
+    key = (tuple(routes), tuple((iface, bytes(raw)) for iface, raw in packets))
+    expectations = _GOLDEN.get(key)
+    if expectations is None:
+        expectations = _GOLDEN.put(
+            key, tuple(expected_forwarding(routes, packets)))
+    return expectations
+
+
 def _verify(machine: RouterMachine, routes: Sequence[RouteEntry],
             packets: Sequence[Tuple[int, bytes]]) -> List[str]:
-    expectations = expected_forwarding(routes, packets)
+    expectations = _golden(routes, packets)
     expected_per_card: Dict[int, List[bytes]] = {
         card.index: [] for card in machine.line_cards}
     for expectation in expectations:

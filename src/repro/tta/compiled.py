@@ -22,11 +22,16 @@ commit scan disappears entirely. FUs this module cannot prove (custom
 subclasses, the CAM RTU with its configurable search latency) keep the
 generic ``_execute`` + pending-queue path with an unrolled commit check.
 
-All bound objects use deterministic, structure-derived names and are
-passed to the generated functions as default arguments (locals, not
-namespace globals). Determinism lets the compiled code object be cached
-and re-bound to a fresh machine of the same shape, so repeated runs of
-one configuration pay CPython's ``compile()`` only once per process.
+The generated source never embeds an object: it is one ``_bind(fus)``
+function that fetches every object it needs *structurally* from the
+processor's FU map (``fus["mmu0"].memory._words``,
+``fus["mat0"].ports["o_ref"]``), then defines the step functions with
+those objects as default arguments (locals, not namespace globals) and
+returns ``_drive``. The source is therefore fully determined by
+(program, processor shape, strict), and :func:`compile_program` caches
+the compiled ``_bind`` under that key — checked *before* any source is
+emitted — so a repeated configuration costs one ``_bind`` call, and the
+cache holds no processor.
 
 Bit-identity with :class:`~repro.tta.simulator.Simulator` is a hard
 contract (enforced by :mod:`repro.verify.backends` across the Table-1
@@ -68,9 +73,19 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import CycleBudgetError, SimulationError
+from repro.memo import EvaluationMemo
 from repro.obs import get_registry
 from repro.tta.fu import FunctionalUnit
 from repro.tta.hazards import loop_signature
@@ -111,28 +126,25 @@ def _numpy():
     return _numpy_state["module"] if numpy_available() else None
 
 
-class _CompiledProgram:
-    """The pre-decoded schedule: one driver plus static accounting."""
+class _Schedule:
+    """One (program, shape, strict) compiled: the ``_bind`` function plus
+    static accounting. Holds no processor object, so caching it pins no
+    machine."""
 
-    __slots__ = ("drive", "length", "bus_count", "occupancy",
-                 "moves_per_pc", "untracked_fus", "_np_occupancy",
-                 "_np_moves")
+    __slots__ = ("bind", "length", "bus_count", "occupancy",
+                 "moves_per_pc", "tracked", "_np_occupancy", "_np_moves")
 
-    def __init__(self, drive: Callable, length: int, bus_count: int,
+    def __init__(self, bind: Callable, length: int, bus_count: int,
                  occupancy: Tuple[Tuple[int, ...], ...],
-                 untracked_fus: Tuple[FunctionalUnit, ...]):
-        self.drive = drive
+                 tracked: FrozenSet[str]):
+        self.bind = bind
         self.length = length
         self.bus_count = bus_count
         #: per pc: bus indices whose slot is occupied (guarded or not)
         self.occupancy = occupancy
         self.moves_per_pc = tuple(len(buses) for buses in occupancy)
-        #: FUs the generated commit scan does *not* cover (their results
-        #: are applied eagerly, or the program never triggers them); they
-        #: can only carry pending completions if the caller stepped the
-        #: interpreter on the same processor first, which forces a
-        #: fallback run
-        self.untracked_fus = untracked_fus
+        #: names of the FUs the generated commit scan covers
+        self.tracked = tracked
         self._np_occupancy = None
         self._np_moves = None
 
@@ -148,6 +160,23 @@ class _CompiledProgram:
             self._np_moves = np_mod.asarray(self.moves_per_pc,
                                             dtype=np_mod.int64)
         return self._np_occupancy, self._np_moves
+
+
+class _CompiledProgram:
+    """A :class:`_Schedule` bound to one processor: its ``_drive``."""
+
+    __slots__ = ("schedule", "drive", "untracked_fus")
+
+    def __init__(self, schedule: _Schedule, processor: TacoProcessor):
+        self.schedule = schedule
+        self.drive = schedule.bind(processor.fus)
+        #: FUs the generated commit scan does *not* cover (their results
+        #: are applied eagerly, or the program never triggers them); they
+        #: can only carry pending completions if the caller stepped the
+        #: interpreter on the same processor first, which forces a
+        #: fallback run
+        self.untracked_fus = tuple(fu for name, fu in processor.fus.items()
+                                   if name not in schedule.tracked)
 
 
 def _raise_budget(simulator: Simulator, max_cycles: int, pc: int) -> None:
@@ -167,36 +196,51 @@ def _ident(name: str) -> str:
 
 
 class _Codegen:
-    """Accumulates object bindings and generated source lines.
+    """Accumulates structural bindings and generated source lines.
 
-    Names are derived from the *structure* (FU and port names), never
-    from object identity, so the generated source — and therefore the
-    cached code object — is identical across machines of the same shape.
+    A binding is a name plus the expression that fetches its object from
+    ``fus`` (the processor's FU map) when ``_bind`` runs. Both derive from
+    the *structure* (FU and port names), never from an object, so the
+    source is identical across machines of the same shape.
     """
 
     def __init__(self):
-        self.namespace: Dict[str, object] = {
-            "SimulationError": SimulationError,
-            "_raise_budget": _raise_budget,
-        }
-        self._by_id: Dict[int, str] = {}
+        #: bound name -> the expression ``_bind`` evaluates for it
+        self.bindings: Dict[str, str] = {}
         self.lines: List[str] = []
         #: bound names referenced by the function currently being
         #: emitted; they become its default arguments (LOAD_FAST)
         self.params: Optional[Set[str]] = None
 
-    def bind(self, name: str, obj: object) -> str:
-        """Register *obj* under the deterministic *name*."""
-        existing = self._by_id.get(id(obj))
-        if existing is None:
-            while name in self.namespace:  # distinct object, same name
-                name += "_"
-            self._by_id[id(obj)] = name
-            self.namespace[name] = obj
-            existing = name
+    def bind(self, name: str, path: str) -> str:
+        """Register the object at *path* under the deterministic *name*."""
+        while self.bindings.setdefault(name, path) != path:
+            name += "_"  # distinct object, same name fragment
         if self.params is not None:
-            self.params.add(existing)
-        return existing
+            self.params.add(name)
+        return name
+
+    def fu(self, fu: FunctionalUnit) -> str:
+        return self.bind(f"_f_{_ident(fu.name)}", f"fus[{fu.name!r}]")
+
+    def port(self, fu: FunctionalUnit, port_name: str) -> str:
+        return self.bind(f"_p_{_ident(fu.name)}_{_ident(port_name)}",
+                         f"fus[{fu.name!r}].ports[{port_name!r}]")
+
+    def of(self, prefix: str, fu: FunctionalUnit, expression: str) -> str:
+        """Bind *expression*, with ``{fu}`` standing for *fu*, under
+        ``_<prefix>_<fu name>``."""
+        return self.bind(f"_{prefix}_{_ident(fu.name)}",
+                         expression.format(fu=f"fus[{fu.name!r}]"))
+
+    def source(self) -> str:
+        """The module text: ``_bind(fus)`` wrapping every function."""
+        lines = ["def _bind(fus):"]
+        lines += [f"    {name} = {path}"
+                  for name, path in self.bindings.items()]
+        lines += [f"    {line}" if line else "" for line in self.lines]
+        lines.append("    return _drive")
+        return "\n".join(lines)
 
     def begin_function(self) -> None:
         self.params = set()
@@ -224,7 +268,7 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
             f'{indent}raise SimulationError(f"cycle {{cycle}}: move reads '
             f'write-only port {fu.name}.{port.name}")')
         return None
-    port_var = gen.bind(f"_p_{_ident(fu.name)}_{_ident(port.name)}", port)
+    port_var = gen.port(fu, port.name)
     if strict:
         lines.append(
             f"{indent}if cycle < {port_var}.valid_from_cycle:")
@@ -247,11 +291,6 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
 # in between. An emitter returns False to decline (unknown trigger port),
 # sending the caller to the generic pending-queue path.
 
-def _port_var(gen: _Codegen, fu: FunctionalUnit, port_name: str) -> str:
-    return gen.bind(f"_p_{_ident(fu.name)}_{_ident(port_name)}",
-                    fu.ports[port_name])
-
-
 def _emit_result(lines: List[str], indent: str, port_var: str,
                  value_expr: str) -> None:
     lines.append(f"{indent}{port_var}.value = {value_expr}")
@@ -259,17 +298,17 @@ def _emit_result(lines: List[str], indent: str, port_var: str,
 
 
 def _emit_counter(gen, lines, fu, fu_var, trigger, value, indent):
-    exprs = {"t_add": f"({value} + {_port_var(gen, fu, 'o')}.value)"
+    exprs = {"t_add": f"({value} + {gen.port(fu, 'o')}.value)"
                       f" & {WORD_MASK}",
-             "t_sub": f"({value} - {_port_var(gen, fu, 'o')}.value)"
+             "t_sub": f"({value} - {gen.port(fu, 'o')}.value)"
                       f" & {WORD_MASK}",
              "t_inc": f"({value} + 1) & {WORD_MASK}",
              "t_dec": f"({value} - 1) & {WORD_MASK}"}
     if trigger not in exprs:
         return False
-    stop = _port_var(gen, fu, "o_stop")
+    stop = gen.port(fu, "o_stop")
     lines.append(f"{indent}_r = {exprs[trigger]}")
-    _emit_result(lines, indent, _port_var(gen, fu, "r"), "_r")
+    _emit_result(lines, indent, gen.port(fu, "r"), "_r")
     lines.append(f"{indent}{fu_var}.result_bit = _r == {stop}.value")
     return True
 
@@ -283,8 +322,8 @@ def _emit_comparator(gen, lines, fu, fu_var, trigger, value, indent):
     if op is None:
         return False
     lines.append(f"{indent}_b = {value} {op} "
-                 f"{_port_var(gen, fu, 'o')}.value")
-    _emit_result(lines, indent, _port_var(gen, fu, "r"), "1 if _b else 0")
+                 f"{gen.port(fu, 'o')}.value")
+    _emit_result(lines, indent, gen.port(fu, "r"), "1 if _b else 0")
     lines.append(f"{indent}{fu_var}.result_bit = _b")
     return True
 
@@ -293,17 +332,17 @@ def _emit_matcher(gen, lines, fu, fu_var, trigger, value, indent):
     if trigger != "t":
         return False
     lines.append(f"{indent}_b = (({value} ^ "
-                 f"{_port_var(gen, fu, 'o_ref')}.value) & "
-                 f"{_port_var(gen, fu, 'o_mask')}.value) == 0")
-    _emit_result(lines, indent, _port_var(gen, fu, "r"), "1 if _b else 0")
+                 f"{gen.port(fu, 'o_ref')}.value) & "
+                 f"{gen.port(fu, 'o_mask')}.value) == 0")
+    _emit_result(lines, indent, gen.port(fu, "r"), "1 if _b else 0")
     lines.append(f"{indent}{fu_var}.result_bit = _b")
     return True
 
 
 def _emit_masker(gen, lines, fu, fu_var, trigger, value, indent):
-    val = _port_var(gen, fu, "o_val")
+    val = gen.port(fu, "o_val")
     if trigger == "t":
-        mask = _port_var(gen, fu, "o_mask")
+        mask = gen.port(fu, "o_mask")
         expr = (f"({value} & ~{mask}.value) | "
                 f"({val}.value & {mask}.value)")
     elif trigger == "t_and":
@@ -315,7 +354,7 @@ def _emit_masker(gen, lines, fu, fu_var, trigger, value, indent):
     else:
         return False
     lines.append(f"{indent}_r = {expr}")
-    _emit_result(lines, indent, _port_var(gen, fu, "r"), "_r")
+    _emit_result(lines, indent, gen.port(fu, "r"), "_r")
     lines.append(f"{indent}{fu_var}.result_bit = _r != 0")
     return True
 
@@ -323,7 +362,7 @@ def _emit_masker(gen, lines, fu, fu_var, trigger, value, indent):
 def _emit_shifter(gen, lines, fu, fu_var, trigger, value, indent):
     if trigger not in ("t_sll", "t_srl", "t_sra"):
         return False
-    lines.append(f"{indent}_a = {_port_var(gen, fu, 'o')}.value & 31")
+    lines.append(f"{indent}_a = {gen.port(fu, 'o')}.value & 31")
     if trigger == "t_sll":
         lines.append(f"{indent}_r = ({value} << _a) & {WORD_MASK}")
     elif trigger == "t_srl":
@@ -334,7 +373,7 @@ def _emit_shifter(gen, lines, fu, fu_var, trigger, value, indent):
                      f" & {WORD_MASK}")
         lines.append(f"{indent}else:")
         lines.append(f"{indent}    _r = {value} >> _a")
-    _emit_result(lines, indent, _port_var(gen, fu, "r"), "_r")
+    _emit_result(lines, indent, gen.port(fu, "r"), "_r")
     lines.append(f"{indent}{fu_var}.result_bit = _r != 0")
     return True
 
@@ -342,22 +381,22 @@ def _emit_shifter(gen, lines, fu, fu_var, trigger, value, indent):
 def _emit_mmu(gen, lines, fu, fu_var, trigger, value, indent):
     if trigger not in ("t_read", "t_write"):
         return False
-    mem = gen.bind(f"_m_{_ident(fu.name)}", fu.memory)
-    words = gen.bind(f"_mw_{_ident(fu.name)}", fu.memory._words)
-    size = len(fu.memory)
+    mem = gen.of("m", fu, "{fu}.memory")
+    words = gen.of("mw", fu, "{fu}.memory._words")
+    size = gen.of("msz", fu, "len({fu}.memory)")
     if trigger == "t_read":
         address = value
     else:
         address = "_adr"
         lines.append(
-            f"{indent}_adr = {_port_var(gen, fu, 'o_addr')}.value")
+            f"{indent}_adr = {gen.port(fu, 'o_addr')}.value")
     # port values are masked non-negative, so only the upper bound can trip
     lines.append(f"{indent}if {address} >= {size}:")
     lines.append(f'{indent}    raise SimulationError(f"data memory access '
-                 f'out of range: {{{address}:#x}} (size {size} words)")')
+                 f'out of range: {{{address}:#x}} (size {{{size}}} words)")')
     if trigger == "t_read":
         lines.append(f"{indent}{mem}.reads += 1")
-        _emit_result(lines, indent, _port_var(gen, fu, "r"),
+        _emit_result(lines, indent, gen.port(fu, "r"),
                      f"{words}[{address}]")
     else:
         lines.append(f"{indent}{mem}.writes += 1")
@@ -377,8 +416,8 @@ def _emit_checksum(gen, lines, fu, fu_var, trigger, value, indent):
     else:
         return False
     lines.append(f"{indent}{fu_var}._accumulator = _acc")
-    _emit_result(lines, indent, _port_var(gen, fu, "r_sum"), "_acc")
-    _emit_result(lines, indent, _port_var(gen, fu, "r_cksum"),
+    _emit_result(lines, indent, gen.port(fu, "r_sum"), "_acc")
+    _emit_result(lines, indent, gen.port(fu, "r_cksum"),
                  "~_acc & 0xFFFF")
     lines.append(f"{indent}{fu_var}.result_bit = _acc == 0xFFFF")
     return True
@@ -394,10 +433,10 @@ def _emit_liu(gen, lines, fu, fu_var, trigger, value, indent):
         lines.append(f'{indent}    raise SimulationError(f"cycle '
                      f'{{cycle}}: LIU index {{{value}}} out of range '
                      f'({{len(_lw)}} words configured)")')
-        _emit_result(lines, indent, _port_var(gen, fu, "r"),
+        _emit_result(lines, indent, gen.port(fu, "r"),
                      f"_lw[{value}] & {WORD_MASK}")
     else:
-        lines.append(f"{indent}_i = {_port_var(gen, fu, 'o_idx')}.value")
+        lines.append(f"{indent}_i = {gen.port(fu, 'o_idx')}.value")
         lines.append(f"{indent}if _i >= len(_lw):")
         lines.append(f'{indent}    raise SimulationError(f"cycle '
                      f'{{cycle}}: LIU index {{_i}} out of range")')
@@ -409,33 +448,34 @@ def _emit_liu(gen, lines, fu, fu_var, trigger, value, indent):
 def _emit_ippu(gen, lines, fu, fu_var, trigger, value, indent):
     if trigger != "t_pop":
         return False
-    queue = gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
+    queue = gen.of("q", fu, "{fu}._queue")
     lines.append(f"{indent}if not {queue}:")
     lines.append(f'{indent}    raise SimulationError(f"cycle {{cycle}}: '
                  f'ippu popped with an empty queue (guard on the ippu '
                  f'result bit before popping)")')
     lines.append(f"{indent}_ptr, _ifc = {queue}.popleft()")
-    _emit_result(lines, indent, _port_var(gen, fu, "r_ptr"), "_ptr")
-    _emit_result(lines, indent, _port_var(gen, fu, "r_iface"), "_ifc")
+    _emit_result(lines, indent, gen.port(fu, "r_ptr"), "_ptr")
+    _emit_result(lines, indent, gen.port(fu, "r_iface"), "_ifc")
     return True  # t_pop completion carries no result bit
 
 
 def _emit_oppu(gen, lines, fu, fu_var, trigger, value, indent):
-    pointer = f"{_port_var(gen, fu, 'o_ptr')}.value"
+    pointer = f"{gen.port(fu, 'o_ptr')}.value"
     if trigger == "t_send":
-        queue = gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
-        lines.append(f"{indent}if {value} >= {len(fu.line_cards)}:")
+        queue = gen.of("q", fu, "{fu}._queue")
+        cards = gen.of("nlc", fu, "len({fu}.line_cards)")
+        lines.append(f"{indent}if {value} >= {cards}:")
         lines.append(f'{indent}    raise SimulationError(f"cycle '
                      f'{{cycle}}: oppu told to send on nonexistent '
                      f'interface {{{value}}}")')
         lines.append(f"{indent}{queue}.append(({pointer}, {value}))")
         lines.append(f"{indent}{fu_var}.result_bit = True")
     elif trigger == "t_drop":
-        slots = gen.bind(f"_s_{_ident(fu.name)}", fu.slots)
+        slots = gen.of("s", fu, "{fu}.slots")
         lines.append(f"{indent}{slots}.release({pointer})")
         lines.append(f"{indent}{fu_var}.result_bit = False")
     elif trigger == "t_punt":
-        punted = gen.bind(f"_pu_{_ident(fu.name)}", fu.punted)
+        punted = gen.of("pu", fu, "{fu}.punted")
         lines.append(f"{indent}{punted}.append({pointer})")
         lines.append(f"{indent}{fu_var}.result_bit = False")
     else:
@@ -508,7 +548,7 @@ def _emit_write(gen: _Codegen, lines: List[str], processor: TacoProcessor,
             f'{indent}raise SimulationError(f"cycle {{cycle}}: move writes '
             f'read-only port {fu.name}.{port.name}")')
         return
-    port_var = gen.bind(f"_p_{_ident(fu.name)}_{_ident(port.name)}", port)
+    port_var = gen.port(fu, port.name)
     if value_expr.isdigit():  # immediate: already on the 32-bit datapath
         stored = value_expr
         lines.append(f"{indent}{port_var}.value = {stored}")
@@ -518,7 +558,7 @@ def _emit_write(gen: _Codegen, lines: List[str], processor: TacoProcessor,
         lines.append(f"{indent}{port_var}.value = {stored}")
     if port.kind is not PortKind.TRIGGER:
         return
-    fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
+    fu_var = gen.fu(fu)
     if not fu.pipelined:
         lines.append(f"{indent}if cycle < {fu_var}._busy_until:")
         lines.append(
@@ -569,8 +609,7 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, pc: int,
             values[bus] = _emit_read(gen, body, processor, move.source,
                                      f"_v{bus}", strict, "    ")
             continue
-        guard_fu = processor.fu(move.guard.fu)
-        guard_var = gen.bind(f"_f_{_ident(guard_fu.name)}", guard_fu)
+        guard_var = gen.fu(processor.fu(move.guard.fu))
         test = f"not {guard_var}.result_bit" if move.guard.negate \
             else f"{guard_var}.result_bit"
         body.append(f"    if {test}:")
@@ -614,7 +653,7 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     gen.lines.append("")
     gen.begin_function()
     gen.params.add("_steps")
-    nc_var = gen.bind(f"_f_{_ident(processor.nc.name)}", processor.nc)
+    nc_var = gen.fu(processor.nc)
     body: List[str] = []
     emit = body.append
     emit("    sim, max_cycles, visits = cycle")
@@ -627,9 +666,9 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     # reduces to refreshing the queue-occupancy result bit.
     ippu_fast: Dict[FunctionalUnit, str] = {}
     for fu in _tick_overriders(processor):
-        fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
+        fu_var = gen.fu(fu)
         if fu.kind == "ippu":
-            gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
+            gen.of("q", fu, "{fu}._queue")
             emit(f"    _admit{fu_var} = {fu_var}.datagrams_admitted"
                  f" + sum(card.pending_depth()"
                  f" for card in {fu_var}.line_cards)")
@@ -641,7 +680,7 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     # Phase 1: commit matured results. Only generic (non-inlined)
     # trigger targets can carry pending completions.
     for fu in commit_fus:
-        fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
+        fu_var = gen.fu(fu)
         emit(f"            if {fu_var}._pending: {fu_var}.commit(cycle)")
     # Phase 2: fetch (bounds check + pc trace; the dispatch below *is*
     # the decoded fetch).
@@ -655,9 +694,9 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     emit("            visits[pc] += 1")
     # Phase 5: autonomous ticks in processor order, then the NC advance.
     for fu in _tick_overriders(processor):
-        fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
+        fu_var = gen.fu(fu)
         if fu in ippu_fast:
-            queue_var = gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
+            queue_var = gen.of("q", fu, "{fu}._queue")
             emit(f"            if {fu_var}.datagrams_admitted < "
                  f"_admit{fu_var}:")
             emit(f"                {fu_var}.tick(cycle)")
@@ -665,7 +704,7 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
             emit(f"                {fu_var}.result_bit = "
                  f"not not {queue_var}")
         elif fu.kind == "oppu":
-            queue_var = gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
+            queue_var = gen.of("q", fu, "{fu}._queue")
             emit(f"            if {queue_var}: {fu_var}.tick(cycle)")
         else:
             emit(f"            {fu_var}.tick(cycle)")
@@ -683,17 +722,15 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     gen.end_function("_drive", body)
 
 
-#: code objects for already-seen schedule sources; the source is fully
-#: determined by (program, processor shape, strict), so a campaign that
-#: sweeps one configuration pays CPython's compile() once
-_CODE_CACHE: Dict[str, object] = {}
-_CODE_CACHE_MAX = 64
+#: compiled schedules by (program, processor shape, strict) — everything
+#: the generated source depends on — so the lookup happens before any
+#: source is emitted; entries hold no processor (see :class:`_Schedule`)
+_SCHEDULES = EvaluationMemo("codegen", maxsize=32)
 
 
-def compile_program(processor: TacoProcessor, program: ProgramMemory,
-                    strict: bool = True) -> _CompiledProgram:
-    """Pre-decode *program* against *processor* into a flat schedule."""
-    processor.validate_program(program)
+def _generate(processor: TacoProcessor, program: ProgramMemory,
+              strict: bool) -> _Schedule:
+    """Emit, compile and load the ``_bind`` source for *program*."""
     gen = _Codegen()
     step_names = []
     occupancy = []
@@ -706,21 +743,25 @@ def compile_program(processor: TacoProcessor, program: ProgramMemory,
             if move is not None))
     commit_fus = [fu for name, fu in processor.fus.items()
                   if name in tracked]
-    untracked = tuple(fu for name, fu in processor.fus.items()
-                      if name not in tracked)
     _emit_drive(gen, processor, step_names, commit_fus)
-    source = "\n".join(gen.lines)
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = compile(source, "<tta-compiled-schedule>", "exec")
-        _CODE_CACHE[source] = code
-    exec(code, gen.namespace)  # noqa: S102 - generated from the program
-    return _CompiledProgram(
-        drive=gen.namespace["_drive"], length=len(program),
-        bus_count=program.width, occupancy=tuple(occupancy),
-        untracked_fus=untracked)
+    namespace = {"SimulationError": SimulationError,
+                 "_raise_budget": _raise_budget}
+    code = compile(gen.source(), "<tta-compiled-schedule>", "exec")
+    exec(code, namespace)  # noqa: S102 - generated from the program
+    return _Schedule(bind=namespace["_bind"], length=len(program),
+                     bus_count=program.width, occupancy=tuple(occupancy),
+                     tracked=frozenset(tracked))
+
+
+def compile_program(processor: TacoProcessor, program: ProgramMemory,
+                    strict: bool = True) -> _CompiledProgram:
+    """Pre-decode *program* against *processor* into a flat schedule."""
+    key = (program, processor.shape_key(), strict)
+    schedule = _SCHEDULES.get(key)
+    if schedule is None:
+        processor.validate_program(program)
+        schedule = _SCHEDULES.put(key, _generate(processor, program, strict))
+    return _CompiledProgram(schedule, processor)
 
 
 class CompiledSimulator(Simulator):
@@ -780,7 +821,7 @@ class CompiledSimulator(Simulator):
         registry = get_registry()
         start = (registry.time(), self.cycle, self.report.moves_executed,
                  dict(self.report.hazards)) if registry.enabled else None
-        visits = [0] * self._compiled.length
+        visits = [0] * self._compiled.schedule.length
         self._drive_squashed = 0
         try:
             self._compiled.drive((self, max_cycles, visits))
@@ -796,7 +837,7 @@ class CompiledSimulator(Simulator):
     def _finalize(self, visits: List[int]) -> None:
         """Reduce per-pc visit counts into the interpreter's report
         totals (numpy when active, identical plain-Python otherwise)."""
-        compiled = self._compiled
+        compiled = self._compiled.schedule
         report = self.report
         report.cycles = self.cycle
         report.instructions_fetched += sum(visits)

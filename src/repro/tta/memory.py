@@ -64,7 +64,11 @@ class DataMemory:
 
 
 class ProgramMemory:
-    """Read-only instruction store, one :class:`Instruction` per address."""
+    """Read-only instruction store, one :class:`Instruction` per address.
+
+    Two stores are equal when they hold the same instructions, so a
+    program can key a cache by content; the hash is computed once.
+    """
 
     def __init__(self, instructions: Sequence[Instruction]):
         if not instructions:
@@ -73,6 +77,7 @@ class ProgramMemory:
         if len(widths) != 1:
             raise TtaError(f"inconsistent instruction widths: {sorted(widths)}")
         self._instructions = tuple(instructions)
+        self._hash = None
 
     @property
     def width(self) -> int:
@@ -90,3 +95,13 @@ class ProgramMemory:
 
     def __iter__(self):
         return iter(self._instructions)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProgramMemory):
+            return NotImplemented
+        return self._instructions == other._instructions
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._instructions)
+        return self._hash

@@ -73,6 +73,25 @@ class TacoProcessor:
                         f"instruction {address}: move {move} cannot use "
                         f"bus {bus_index} (socket connectivity)")
 
+    def shape_key(self) -> tuple:
+        """What program assembly and code generation read off this instance.
+
+        Per FU, in processor order: name, exact class, latency, pipelining
+        and its ports (name and kind); then the bus count and the socket
+        connectivity. Processors with equal keys accept the same programs
+        and schedule them identically; the state they hold (memory words,
+        queues, the routing table) is not part of the shape.
+        """
+        units = tuple(
+            (name, type(fu), fu.latency, fu.pipelined,
+             tuple((port.name, port.kind.value)
+                   for port in fu.ports.values()))
+            for name, fu in self.fus.items())
+        connectivity = tuple(sorted(
+            (name, tuple(sorted(buses)))
+            for name, buses in self.interconnect.connectivity.items()))
+        return self.interconnect.bus_count, connectivity, units
+
     def reset(self) -> None:
         for fu in self.fus.values():
             fu.reset()
