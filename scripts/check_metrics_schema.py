@@ -92,6 +92,8 @@ _LABEL_DOMAINS = (
     ("counters", "routing_updates_total", "kind", "routing_table_kind"),
     ("counters", "routing_updates_total", "op", "routing_update_op"),
     ("counters", "routing_update_steps_total", "kind", "routing_table_kind"),
+    ("counters", "routing_batch_index_total", "kind", "routing_table_kind"),
+    ("counters", "routing_batch_index_total", "result", "cache_result"),
     ("counters", "routing_corruption_detected_total", "kind",
      "routing_table_kind"),
     ("counters", "routing_corruption_detected_total", "protection",

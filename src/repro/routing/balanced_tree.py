@@ -52,6 +52,9 @@ from repro.routing.memimage import (
 
 _ADDRESS_SENTINEL_LENGTH = 129
 
+#: packed enclosing pointer: present flag 1 + network 16 + length 1
+_ENCLOSING_BYTES = 18
+
 
 def _key(prefix: Ipv6Prefix) -> Tuple[int, int]:
     return (prefix.network.value, prefix.length)
@@ -132,13 +135,17 @@ class BalancedTreeRoutingTable(RoutingTable):
     # -- lookup ---------------------------------------------------------------
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
-        target = (address.value, _ADDRESS_SENTINEL_LENGTH)
+        value = address.value
         floor: Optional[_Node] = None
         node = self._root
         steps = 0
         while node is not None:
             steps += 1
-            if node.key <= target:
+            # node.key <= (value, _ADDRESS_SENTINEL_LENGTH), inlined
+            prefix = node.entry.prefix
+            network = prefix.network.value
+            if network < value or (network == value and prefix.length
+                                   <= _ADDRESS_SENTINEL_LENGTH):
                 floor = node
                 node = node.right
             else:
@@ -395,7 +402,7 @@ class BalancedTreeRoutingTable(RoutingTable):
     @staticmethod
     def _pack_enclosing(enclosing: Optional[Ipv6Prefix]) -> bytes:
         if enclosing is None:
-            return bytes(18)
+            return bytes(_ENCLOSING_BYTES)
         return (b"\x01" + enclosing.network.value.to_bytes(16, "big")
                 + bytes([enclosing.length & 0xFF]))
 
@@ -423,6 +430,7 @@ class BalancedTreeRoutingTable(RoutingTable):
             return super().corrupt_memory(site, index, bit)
         nodes = self._ordered_nodes()
         self._check_memory_index(site, index, len(nodes))
+        self._check_memory_bit(site, bit, ENTRY_BITS + 8 * _ENCLOSING_BYTES)
         node = nodes[index]
         before = node.entry.prefix
         if bit < ENTRY_BITS:

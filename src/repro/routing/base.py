@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingTableError
+from repro.errors import FaultInjectionError, RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs import get_registry
 from repro.routing.entry import LookupResult, RouteEntry
@@ -41,13 +41,11 @@ class TableStatistics:
     removals: int = 0
     total_update_steps: int = 0
 
-    def record_lookup(self, steps: int, hit: bool) -> None:
-        self.lookups += 1
+    def record_lookups(self, lookups: int, hits: int, steps: int) -> None:
+        self.lookups += lookups
+        self.hits += hits
+        self.misses += lookups - hits
         self.total_lookup_steps += steps
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
 
     def record_update(self, steps: int, insert: bool) -> None:
         self.total_update_steps += steps
@@ -139,7 +137,9 @@ class RoutingTable(ABC):
             raise RoutingTableError(
                 f"corrupt {self.kind} state during lookup: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return self._account_lookup(entry, steps)
+        self._account_lookups(1, 0 if entry is None else 1, steps)
+        return None if entry is None else LookupResult(entry=entry,
+                                                      steps=steps)
 
     def lookup_batch(
             self, addresses: Sequence[Ipv6Address]
@@ -147,50 +147,75 @@ class RoutingTable(ABC):
         """Longest-prefix match for every address in *addresses*.
 
         Semantically identical to ``[self.lookup(a) for a in addresses]``
-        — same results, same ``stats`` updates, same obs counters — but
-        implementations may override :meth:`_lookup_batch` to amortize
-        per-lookup overhead (the sequential table answers a batch from
-        per-length hash maps instead of rescanning the array per address).
-        Shares the fail-stop contract of :meth:`lookup`: structural
-        exceptions become :class:`~repro.errors.RoutingTableError` and no
-        partial results are accounted.
+        — same results, same per-address ``steps``, same ``stats`` and
+        obs counter totals — but the accounting is done once per batch,
+        and implementations may override :meth:`_lookup_batch` to
+        amortize per-lookup work (the sequential and CAM tables answer
+        from a kept per-length index, see
+        :mod:`repro.routing.lengthindex`). Shares the fail-stop contract
+        of :meth:`lookup`: structural exceptions become
+        :class:`~repro.errors.RoutingTableError` and nothing of a failed
+        batch is accounted.
         """
         try:
-            pairs = list(self._lookup_batch(addresses))
+            entries, steps = self._lookup_batch(addresses)
         except RoutingTableError:
             raise
         except Exception as exc:
             raise RoutingTableError(
                 f"corrupt {self.kind} state during batch lookup: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return [self._account_lookup(entry, steps)
-                for entry, steps in pairs]
+        results: List[Optional[LookupResult]] = []
+        append = results.append
+        hits = 0
+        for entry, cost in zip(entries, steps):
+            if entry is None:
+                append(None)
+            else:
+                hits += 1
+                append(LookupResult(entry=entry, steps=cost))
+        self._account_lookups(len(results), hits, sum(steps))
+        return results
 
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
-    ) -> "Iterable[Tuple[Optional[RouteEntry], int]]":
-        """Raw batch lookup; overrides MUST report the exact (entry,
-        steps) pairs the per-address :meth:`_lookup` would have."""
-        return [self._lookup(address) for address in addresses]
+    ) -> Tuple[List[Optional[RouteEntry]], List[int]]:
+        """Raw batch lookup: the entry (or None) and the steps for each
+        address, as two lists. Overrides MUST report exactly what the
+        per-address :meth:`_lookup` would. Two lists instead of one pair
+        per address keep a batch from allocating a tuple per address
+        that lives as long as the batch (each one is work for the
+        garbage collector on a table of a million objects)."""
+        entries: List[Optional[RouteEntry]] = []
+        steps: List[int] = []
+        for address in addresses:
+            entry, cost = self._lookup(address)
+            entries.append(entry)
+            steps.append(cost)
+        return entries, steps
 
-    def _account_lookup(self, entry: Optional[RouteEntry],
-                        steps: int) -> Optional[LookupResult]:
-        self.stats.record_lookup(steps, hit=entry is not None)
+    def _account_lookups(self, lookups: int, hits: int, steps: int) -> None:
+        """Record *lookups* lookups, *hits* of them hits, costing *steps*
+        in all. Touches exactly the counter label sets that as many
+        single lookups would: none for an empty batch, and no hit or
+        miss series the batch did not produce."""
+        if not lookups:
+            return
+        self.stats.record_lookups(lookups, hits, steps)
         registry = get_registry()
         if registry.enabled:
-            registry.counter(
+            outcomes = registry.counter(
                 "routing_lookups_total",
-                "longest-prefix-match lookups", ("kind", "outcome")
-            ).inc(kind=self.kind,
-                  outcome="hit" if entry is not None else "miss")
+                "longest-prefix-match lookups", ("kind", "outcome"))
+            if hits:
+                outcomes.inc(hits, kind=self.kind, outcome="hit")
+            if lookups - hits:
+                outcomes.inc(lookups - hits, kind=self.kind, outcome="miss")
             registry.counter(
                 "routing_lookup_steps_total",
                 "elements examined across lookups "
                 "(steps/lookups = comparisons per lookup)", ("kind",)
             ).inc(steps, kind=self.kind)
-        if entry is None:
-            return None
-        return LookupResult(entry=entry, steps=steps)
 
     def _publish_update(self, steps: int, op: str) -> None:
         registry = get_registry()
@@ -313,6 +338,13 @@ class RoutingTable(ABC):
             raise RoutingTableError(
                 f"{self.kind} {site} index {index} out of range "
                 f"[0, {count})")
+
+    def _check_memory_bit(self, site: str, bit: int, record_bits: int) -> None:
+        """Every kind's bit check: *bit* must address the record."""
+        if not 0 <= bit < record_bits:
+            raise FaultInjectionError(
+                f"{self.kind} {site} bit {bit} out of range "
+                f"[0, {record_bits})")
 
     def __contains__(self, prefix: Ipv6Prefix) -> bool:
         return self.get(prefix) is not None

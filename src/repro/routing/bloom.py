@@ -29,14 +29,14 @@ Modelling choices
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import blake2b
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
-from repro.routing.memimage import corrupt_entry, pack_entry
+from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
 
 DEFAULT_SLOTS_PER_ENTRY = 16
 """Counting-filter slots per stored prefix (~1e-4 false-positive rate
@@ -52,7 +52,7 @@ probe, and two provisioned hash-table memory reads."""
 
 
 def _hash_pair(length: int, value: int) -> Tuple[int, int]:
-    digest = hashlib.blake2b(
+    digest = blake2b(
         length.to_bytes(2, "big") + value.to_bytes(16, "big"),
         digest_size=16).digest()
     h1 = int.from_bytes(digest[:8], "big")
@@ -181,20 +181,31 @@ class BloomRoutingTable(RoutingTable):
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         value = address.value
+        classes = self._classes
+        probes = range(self.hash_count)
         steps = 1  # the parallel Bloom-bank probe counts once
         for length in self._lengths_desc:
             # .get, not []: a corrupted probe-order list must degrade to
             # skipping the phantom length, not crash with a KeyError
-            cls = self._classes.get(length)
+            cls = classes.get(length)
             if cls is None:
                 continue
             masked = value & cls.mask
-            if not cls.filter_positive(masked, self.hash_count):
-                continue
-            steps += 1  # off-filter hash-table access
-            entry = cls.entries.get(masked)
-            if entry is not None:
-                return entry, steps
+            # inlined _hash_pair + filter_positive (the hot loop)
+            digest = blake2b(cls.length.to_bytes(2, "big")
+                             + masked.to_bytes(16, "big"),
+                             digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:], "big") | 1
+            counters, slots = cls.counters, cls.slots
+            for i in probes:
+                if not counters[(h1 + i * h2) % slots]:
+                    break
+            else:
+                steps += 1  # off-filter hash-table access
+                entry = cls.entries.get(masked)
+                if entry is not None:
+                    return entry, steps
         return None, steps
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
@@ -305,12 +316,14 @@ class BloomRoutingTable(RoutingTable):
         if site == "bloom-filter":
             self._check_memory_index(site, index, len(self._lengths_desc))
             cls = self._classes[self._lengths_desc[index]]
+            self._check_memory_bit(site, bit, 8 * len(cls.counters))
             cls.counters[bit // 8] ^= 1 << (bit % 8)
             return (f"bloom-filter[{index}] /{cls.length} "
                     f"counter {bit // 8} bit {bit % 8}")
         if site == "bloom-bucket":
             records = self._bucket_records()
             self._check_memory_index(site, index, len(records))
+            self._check_memory_bit(site, bit, ENTRY_BITS)
             cls, value = records[index]
             before = cls.entries[value].prefix
             cls.entries[value] = corrupt_entry(cls.entries[value], bit)

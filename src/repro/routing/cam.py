@@ -25,7 +25,8 @@ from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs import get_registry
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
-from repro.routing.memimage import corrupt_entry, pack_entry
+from repro.routing.lengthindex import LengthIndex, Line
+from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
 
 CAM_WIDTH_BITS = 136
 """128 address bits + 8 tag bits, as in the paper."""
@@ -87,12 +88,14 @@ class CamRoutingTable(RoutingTable):
         super().__init__(capacity)
         self.physical = physical or CamPhysicalModel()
         self._lines: List[_CamLine] = []
+        self._index = LengthIndex(self.kind)
         # CAM occupancy per search at the part's reference clock, cached
         # so the lookup path publishes busy cycles without recomputing
         self._search_busy_cycles = self.physical.search_cycles(
             self.physical.reference_clock_mhz * 1e6)
 
     def _insert(self, entry: RouteEntry) -> int:
+        self._index.drop()
         prefix = entry.prefix
         for line in self._lines:
             if line.entry.prefix == prefix:
@@ -111,6 +114,7 @@ class CamRoutingTable(RoutingTable):
         return 1 + (len(self._lines) - position - 1)
 
     def _remove(self, prefix: Ipv6Prefix) -> int:
+        self._index.drop()
         for i, line in enumerate(self._lines):
             if line.entry.prefix == prefix:
                 del self._lines[i]
@@ -135,9 +139,13 @@ class CamRoutingTable(RoutingTable):
 
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
-    ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Batch search via per-length maps; every search still costs one
-        step and occupies the CAM for one 40 ns slot."""
+    ) -> Tuple[List[Optional[RouteEntry]], List[int]]:
+        """Batch search via the kept per-length index; every search
+        still costs one step and occupies the CAM for one 40 ns slot.
+        Damaged state falls back to the per-line match."""
+        found = self._index.search(self._index_lines, addresses)
+        if found is None:
+            return super()._lookup_batch(addresses)
         registry = get_registry()
         if registry.enabled and addresses:
             registry.counter(
@@ -145,25 +153,12 @@ class CamRoutingTable(RoutingTable):
                 "CAM cycles occupied by searches (40 ns per search at "
                 "the part's reference clock)"
             ).inc(self._search_busy_cycles * len(addresses))
-        by_length: "List[Tuple[int, Dict[int, RouteEntry]]]" = []
-        seen: Dict[int, Dict[int, RouteEntry]] = {}
-        for line in self._lines:
-            length = line.entry.prefix.length
-            table = seen.get(length)
-            if table is None:
-                table = seen[length] = {}
-                by_length.append((line.mask, table))
-            table[line.value] = line.entry
-        out: List[Tuple[Optional[RouteEntry], int]] = []
-        for address in addresses:
-            value = address.value
-            found: Optional[RouteEntry] = None
-            for mask, table in by_length:
-                found = table.get(value & mask)
-                if found is not None:
-                    break
-            out.append((found, 1))
-        return out
+        return found, [1] * len(found)
+
+    def _index_lines(self) -> "Iterator[Line]":
+        return ((line.entry.prefix.length, line.mask, line.value,
+                 line.entry)
+                for line in self._lines)
 
     def load(self, entries: "list[RouteEntry]") -> None:
         """Single-sort bulk line build from an empty CAM (one write per
@@ -177,6 +172,7 @@ class CamRoutingTable(RoutingTable):
             merged[entry.prefix] = entry
         ordered = sorted(
             merged.values(), key=lambda entry: -entry.prefix.length)
+        self._index.drop()
         self._lines = [
             _CamLine(value=entry.prefix.network.value,
                      mask=entry.prefix.mask(), entry=entry)
@@ -229,6 +225,8 @@ class CamRoutingTable(RoutingTable):
         if site != "cam-row":
             return super().corrupt_memory(site, index, bit)
         self._check_memory_index(site, index, len(self._lines))
+        self._check_memory_bit(site, bit, 256 + ENTRY_BITS)
+        self._index.drop()
         line = self._lines[index]
         prefix = line.entry.prefix
         if bit < 128:

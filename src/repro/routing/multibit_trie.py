@@ -39,7 +39,7 @@ from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
-from repro.routing.memimage import corrupt_entry, pack_entry
+from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
 
 ADDRESS_BITS = 128
 
@@ -74,6 +74,11 @@ class MultibitTrieRoutingTable(RoutingTable):
         if not 1 <= stride <= 32:
             raise RoutingTableError(f"stride out of range: {stride}")
         self.stride = stride
+        #: per depth, the (shift, mask) that cuts its chunk from an address
+        self._levels: Tuple[Tuple[int, int], ...] = tuple(
+            (ADDRESS_BITS - depth * stride - self._level_width(depth),
+             (1 << self._level_width(depth)) - 1)
+            for depth in range(self.max_depth()))
         self._root = _TrieNode()
         self._node_count = 1
         #: exact-prefix ground truth, insertion-ordered (O(1) get/len)
@@ -86,9 +91,8 @@ class MultibitTrieRoutingTable(RoutingTable):
         return min(self.stride, ADDRESS_BITS - depth * self.stride)
 
     def _chunk(self, value: int, depth: int) -> int:
-        width = self._level_width(depth)
-        shift = ADDRESS_BITS - depth * self.stride - width
-        return (value >> shift) & ((1 << width) - 1)
+        shift, mask = self._levels[depth]
+        return (value >> shift) & mask
 
     def _terminal_depth(self, length: int) -> int:
         """Depth of the node a prefix of *length* terminates in."""
@@ -171,25 +175,21 @@ class MultibitTrieRoutingTable(RoutingTable):
         node = self._root
         best: Optional[RouteEntry] = None
         steps = 0
-        depth = 0
-        # Descent depth is bounded by the pipeline: exceeding it means a
-        # corrupted child page steered the walk off the tree — fail stop.
-        depth_budget = self.max_depth()
-        while True:
-            if depth > depth_budget:
-                raise RoutingTableError(
-                    "multibit-trie descent exceeds the pipeline depth "
-                    "(corrupted child page)")
+        for shift, mask in self._levels:
             steps += 1  # one memory access per level
-            chunk = self._chunk(value, depth)
+            chunk = (value >> shift) & mask
             slot = node.slots.get(chunk)
             if slot is not None:
                 best = slot
-            child = node.children.get(chunk)
-            if child is None:
+            node = node.children.get(chunk)
+            if node is None:
                 return best, steps
-            node = child
-            depth += 1
+        # Descent depth is bounded by the pipeline: a child below the
+        # last level means a corrupted child page steered the walk off
+        # the tree — fail stop.
+        raise RoutingTableError(
+            "multibit-trie descent exceeds the pipeline depth "
+            "(corrupted child page)")
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         return self._routes.get(prefix)
@@ -346,6 +346,7 @@ class MultibitTrieRoutingTable(RoutingTable):
             pages = self._pointer_pages()
             self._check_memory_index(site, index, len(pages))
             node = pages[index]
+            self._check_memory_bit(site, bit, 16 * len(node.children))
             keys = sorted(node.children)
             old_chunk = keys[bit // 16]
             new_chunk = old_chunk ^ (1 << (15 - bit % 16))
@@ -357,6 +358,7 @@ class MultibitTrieRoutingTable(RoutingTable):
         if site == "trie-slot":
             records = self._slot_records()
             self._check_memory_index(site, index, len(records))
+            self._check_memory_bit(site, bit, 16 + ENTRY_BITS)
             node, chunk = records[index]
             if bit < 16:
                 new_chunk = chunk ^ (1 << (15 - bit))

@@ -14,10 +14,11 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
-from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
+from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
-from repro.routing.memimage import corrupt_entry, pack_entry
+from repro.routing.lengthindex import LengthIndex, Line
+from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
 
 
 class SequentialRoutingTable(RoutingTable):
@@ -28,10 +29,12 @@ class SequentialRoutingTable(RoutingTable):
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity)
         self._entries: List[RouteEntry] = []
+        self._index = LengthIndex(self.kind)
 
     # -- core operations -----------------------------------------------------
 
     def _insert(self, entry: RouteEntry) -> int:
+        self._index.drop()
         steps = 0
         for i, existing in enumerate(self._entries):
             steps += 1
@@ -51,6 +54,7 @@ class SequentialRoutingTable(RoutingTable):
         return steps + (len(self._entries) - position)
 
     def _remove(self, prefix: Ipv6Prefix) -> int:
+        self._index.drop()
         for i, existing in enumerate(self._entries):
             if existing.prefix == prefix:
                 del self._entries[i]
@@ -89,45 +93,29 @@ class SequentialRoutingTable(RoutingTable):
         merged: Dict[Ipv6Prefix, RouteEntry] = {}
         for entry in entries:
             merged[entry.prefix] = entry
+        self._index.drop()
         self._entries = sorted(
             merged.values(), key=lambda entry: -entry.prefix.length)
         self._account_bulk_load(len(entries), len(merged))
 
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
-    ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Answer a batch from per-length hash maps.
+    ) -> Tuple[List[Optional[RouteEntry]], List[int]]:
+        """Answer a batch from the kept per-length index: a hit at scan
+        position *i* costs ``i + 1`` steps, a miss ``len(self)`` — what
+        the linear scan reports. Damaged state falls back to the scan."""
+        positions = self._index.search(self._index_lines, addresses)
+        if positions is None:
+            return super()._lookup_batch(addresses)
+        entries = self._entries
+        miss = len(entries)
+        return ([None if p is None else entries[p] for p in positions],
+                [miss if p is None else p + 1 for p in positions])
 
-        Builds, once per batch, a map ``length -> {masked network:
-        (entry, scan position)}``; each address then probes the distinct
-        lengths in scan order. Results — including the per-address
-        ``steps`` the cycle models consume — are exactly what the linear
-        scan would report: a hit at scan index *i* costs ``i + 1``
-        steps, a miss costs ``len(self)``.
-        """
-        by_length: "List[Tuple[int, Dict[int, Tuple[RouteEntry, int]]]]" = []
-        seen: Dict[int, Dict[int, Tuple[RouteEntry, int]]] = {}
-        for position, entry in enumerate(self._entries):
-            length = entry.prefix.length
-            table = seen.get(length)
-            if table is None:
-                table = seen[length] = {}
-                by_length.append((prefix_mask(length), table))
-            table[entry.prefix.network.value] = (entry, position)
-        miss_steps = len(self._entries)
-        out: List[Tuple[Optional[RouteEntry], int]] = []
-        for address in addresses:
-            value = address.value
-            found: Optional[Tuple[RouteEntry, int]] = None
-            for mask, table in by_length:
-                found = table.get(value & mask)
-                if found is not None:
-                    break
-            if found is None:
-                out.append((None, miss_steps))
-            else:
-                out.append((found[0], found[1] + 1))
-        return out
+    def _index_lines(self) -> "Iterator[Line]":
+        return ((entry.prefix.length, None, entry.prefix.network.value,
+                 position)
+                for position, entry in enumerate(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,6 +143,8 @@ class SequentialRoutingTable(RoutingTable):
         if site != "entry":
             return super().corrupt_memory(site, index, bit)
         self._check_memory_index(site, index, len(self._entries))
+        self._check_memory_bit(site, bit, ENTRY_BITS)
+        self._index.drop()
         before = self._entries[index]
         self._entries[index] = corrupt_entry(before, bit)
         return f"entry[{index}] bit {bit} ({before.prefix})"

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.errors import RoutingTableError
+from repro.errors import FaultInjectionError, RoutingTableError
 from repro.faults.memory import MemoryFaultInjector
 from repro.ipv6.address import Ipv6Address
 from repro.routing import TABLE_KINDS, make_table
@@ -92,11 +92,71 @@ def test_bloom_filter_bit_damage_is_fail_stop():
     assert_fail_stop(table, ADDRESSES)
 
 
+def _answers_per_address(table, addresses):
+    """Per-address results, or None when some address fails stop."""
+    try:
+        return [table.lookup(address) for address in addresses]
+    except RoutingTableError:
+        return None
+
+
 def test_batch_lookup_is_fail_stop_too():
+    """A damaged table answers a batch exactly as it answers address by
+    address — results and stats — whenever every single lookup answers;
+    otherwise the batch fails stop as a whole."""
     for kind in sorted(TABLE_KINDS):
-        table = loaded(kind)
-        MemoryFaultInjector(seed=5).inject(table, flips=8)
-        try:
-            table.lookup_batch(ADDRESSES)
-        except RoutingTableError:
-            pass
+        for seed in range(6):
+            for flips in (1, 8):
+                single, batched = loaded(kind), loaded(kind)
+                for table in (single, batched):
+                    MemoryFaultInjector(seed=seed).inject(table, flips=flips)
+                expected = _answers_per_address(single, ADDRESSES)
+                if expected is None:
+                    with pytest.raises(RoutingTableError):
+                        batched.lookup_batch(ADDRESSES)
+                    continue
+                assert batched.lookup_batch(ADDRESSES) == expected
+                assert batched.stats == single.stats
+
+
+@pytest.mark.parametrize("kind,site,bits", [
+    ("sequential", "entry", range(128, 136)),    # prefix length
+    ("cam", "cam-row", range(128, 256, 3)),      # match mask
+])
+def test_batch_equals_per_address_after_directed_flips(kind, site, bits):
+    """Two damage classes the per-length batch index used to answer
+    differently from the scan: a prefix length moved out of its group,
+    and a CAM mask that is no longer its length's mask."""
+    addresses = zipf_addresses(ROUTES, 400, seed=9)
+    for index in (0, 20, 45):
+        for bit in bits:
+            single, batched = loaded(kind), loaded(kind)
+            batched.lookup_batch(addresses)  # a kept index, then damage
+            for table in (single, batched):
+                table.corrupt_memory(site, index, bit)
+            expected = _answers_per_address(single, addresses)
+            if expected is None:
+                with pytest.raises(RoutingTableError):
+                    batched.lookup_batch(addresses)
+                continue
+            assert batched.lookup_batch(addresses) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_corrupt_memory_rejects_bits_outside_the_record(kind):
+    """Every kind and site: bit -1 and bit == record bits raise
+    FaultInjectionError and leave the structure untouched; the first
+    and last bit of the record are accepted."""
+    table = loaded(kind)
+    for site in table.memory_sites():
+        for index in (0, table.memory_record_count(site) - 1):
+            record_bits = 8 * len(table.memory_record(site, index))
+            before = {s: table.memory_records(s)
+                      for s in table.memory_sites()}
+            for bit in (-1, record_bits):
+                with pytest.raises(FaultInjectionError):
+                    table.corrupt_memory(site, index, bit)
+            assert {s: table.memory_records(s)
+                    for s in table.memory_sites()} == before
+            for bit in (0, record_bits - 1):
+                loaded(kind).corrupt_memory(site, index, bit)

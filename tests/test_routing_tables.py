@@ -1,5 +1,8 @@
 """Routing-table implementations: semantics, invariants, cost shapes."""
 
+import importlib.util
+import json
+import os
 import random
 
 import pytest
@@ -634,3 +637,295 @@ class TestBloom:
             BloomRoutingTable(slots_per_entry=1)
         with pytest.raises(RoutingTableError):
             BloomRoutingTable(hash_count=0)
+
+
+# -- batch lookups against a per-address twin ----------------------------------
+
+#: routes the interleaving test draws from: a FIB without a default
+#: route, plus ::/0 as one more candidate, so all-miss batches exist
+#: whenever ::/0 is not stored
+TWIN_POOL = synthesize_fib(
+    40, seed=21, profile=FibProfile(include_default=False)) + [entry("::/0")]
+ALL_ONES = (1 << 128) - 1
+#: ff00::/8 lies outside the pool's 2000::/3, so only ::/0 covers it
+OUTSIDE_POOL = 0xFF << 120
+
+
+def _routing_counters(registry):
+    """Every routing_* counter series, minus the batch-index counter
+    only the batched table publishes."""
+    return {name: metric["values"]
+            for name, metric in registry.snapshot()["counters"].items()
+            if name.startswith("routing_")
+            and name != "routing_batch_index_total"}
+
+
+class _Twins:
+    """One table answering by ``lookup_batch`` and one answering per
+    address, each publishing into its own registry."""
+
+    def __init__(self, kind):
+        self.tables = [make_table(kind, capacity=len(TWIN_POOL))
+                       for _ in range(2)]
+        self.registries = [MetricsRegistry(enabled=True)
+                           for _ in range(2)]
+        self.live = {}
+        self.damaged = False
+
+    def on_both(self, action):
+        """Apply *action* to both tables; both must raise alike (only
+        lookups promise to fail stop: a mutator on a damaged table may
+        raise anything)."""
+        outcomes = []
+        for table, registry in zip(self.tables, self.registries):
+            previous = set_registry(registry)
+            try:
+                action(table)
+                outcomes.append(None)
+            except Exception as exc:  # noqa: BLE001 — compared below
+                outcomes.append(type(exc))
+            finally:
+                set_registry(previous)
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0] is None
+
+    def on(self, side, action):
+        previous = set_registry(self.registries[side])
+        try:
+            return action(self.tables[side])
+        finally:
+            set_registry(previous)
+
+
+class TestBatchAgainstPerAddressTwin:
+    @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+    def test_one_sided_batches_add_only_their_own_series(self, kind):
+        """Empty, all-hit and all-miss batches touch exactly the counter
+        series as many single lookups would: none, no miss series, no
+        hit series."""
+        routes = TWIN_POOL[:-1]  # no ::/0
+        hits = zipf_addresses(routes, 30, seed=41)
+        misses = [Ipv6Address(OUTSIDE_POOL | i) for i in range(30)]
+        for batch in ([], hits, misses, hits + misses):
+            twins = _Twins(kind)
+            twins.on_both(lambda t: t.load(routes))
+            expected = twins.on(1, lambda t: [t.lookup(a) for a in batch])
+            assert twins.on(0, lambda t: t.lookup_batch(batch)) == expected
+            assert twins.tables[0].stats == twins.tables[1].stats
+            counters = _routing_counters(twins.registries[0])
+            assert counters == _routing_counters(twins.registries[1])
+            series = counters.get("routing_lookups_total", [])
+            assert {value["labels"]["outcome"] for value in series} \
+                == {"miss" if result is None else "hit"
+                    for result in expected}
+            assert all(value["value"] > 0 for value in series)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(sorted(TABLE_KINDS)), data=st.data())
+    def test_interleaved_mutations_keep_batch_equal_to_per_address(
+            self, kind, data):
+        """insert/remove/load/corrupt_memory interleaved with batches on
+        one table: every batch equals the per-address twin in results,
+        ``stats`` and every routing_* counter series."""
+        twins = _Twins(kind)
+        batched, single = twins.tables
+        for _ in range(data.draw(st.integers(1, 16), label="ops")):
+            op = data.draw(st.sampled_from(
+                ("insert", "remove", "load", "corrupt", "batch")))
+            if op == "insert":
+                route = data.draw(st.sampled_from(TWIN_POOL))
+                if twins.on_both(lambda t: t.insert(route)):
+                    twins.live[route.prefix] = route
+            elif op == "remove" and twins.live:
+                prefix = data.draw(st.sampled_from(list(twins.live)))
+                if twins.on_both(lambda t: t.remove(prefix)):
+                    del twins.live[prefix]
+            elif op == "load":
+                routes = data.draw(st.lists(st.sampled_from(TWIN_POOL),
+                                            max_size=12))
+                if twins.on_both(lambda t: t.load(routes)):
+                    twins.live.update((r.prefix, r) for r in routes)
+            elif op == "corrupt":
+                sites = [site for site in batched.memory_sites()
+                         if batched.memory_record_count(site)]
+                if not sites:
+                    continue
+                site = data.draw(st.sampled_from(sites))
+                index = data.draw(st.integers(
+                    0, batched.memory_record_count(site) - 1))
+                try:
+                    record = batched.memory_record(site, index)
+                except RoutingTableError:
+                    # earlier damage can desynchronise a record count
+                    # from the records it counts (tree payload flips)
+                    continue
+                bit = data.draw(st.integers(0, 8 * len(record) - 1))
+                twins.on_both(lambda t: t.corrupt_memory(site, index, bit))
+                twins.damaged = True
+            elif op == "batch":
+                flavour = data.draw(st.sampled_from(("hit", "miss", "mixed")))
+                hosts = data.draw(st.lists(st.integers(0, ALL_ONES),
+                                           max_size=12))
+                addresses = []
+                if flavour != "miss" and twins.live:
+                    routes = list(twins.live.values())
+                    addresses += [Ipv6Address(
+                        routes[i % len(routes)].prefix.network.value
+                        | (host & ~routes[i % len(routes)].prefix.mask()
+                           & ALL_ONES))
+                        for i, host in enumerate(hosts)]
+                if flavour != "hit":
+                    addresses += [Ipv6Address(OUTSIDE_POOL | (host >> 8))
+                                  for host in hosts]
+                try:
+                    expected = twins.on(1, lambda t: [t.lookup(a)
+                                                      for a in addresses])
+                except RoutingTableError:
+                    # per-address fails on some address: the batch must
+                    # fail stop too; the twins' stats now differ by the
+                    # per-address lookups accounted before the failure
+                    with pytest.raises(RoutingTableError):
+                        twins.on(0, lambda t: t.lookup_batch(addresses))
+                    return
+                got = twins.on(0, lambda t: t.lookup_batch(addresses))
+                assert got == expected
+                if not twins.damaged and flavour == "hit":
+                    assert None not in got
+                if (not twins.damaged and flavour == "miss"
+                        and Ipv6Prefix.parse("::/0") not in twins.live):
+                    assert got == [None] * len(addresses)
+            assert batched.stats == single.stats
+            assert _routing_counters(twins.registries[0]) \
+                == _routing_counters(twins.registries[1])
+
+
+def _index_results(registry, kind):
+    counters = registry.snapshot()["counters"]
+    values = counters.get("routing_batch_index_total", {"values": []})
+    return {v["labels"]["result"]: v["value"] for v in values["values"]
+            if v["labels"]["kind"] == kind}
+
+
+@pytest.mark.parametrize("kind", ["sequential", "cam"])
+class TestLengthIndexLifetime:
+    """The sequential/CAM per-length index is kept across batches and
+    dropped by every mutator (``routing_batch_index_total`` shows it)."""
+
+    ROUTES = synthesize_fib(50, seed=31)
+    PROBES = zipf_addresses(ROUTES, 40, seed=32)
+
+    def _batches(self, kind, mutate):
+        registry = MetricsRegistry(enabled=True)
+        previous = set_registry(registry)
+        try:
+            table = make_table(kind, capacity=len(self.ROUTES) + 1)
+            table.load(self.ROUTES)
+            table.lookup_batch(self.PROBES)
+            table.lookup_batch(self.PROBES)
+            assert _index_results(registry, kind) == {"hit": 1, "miss": 1}
+            mutate(table)
+            table.lookup_batch(self.PROBES)
+            after_mutation = _index_results(registry, kind)
+            table.lookup_batch(self.PROBES)
+            return after_mutation, _index_results(registry, kind)
+        finally:
+            set_registry(previous)
+
+    @pytest.mark.parametrize("mutator", ["insert", "replace", "remove",
+                                         "load", "clear-then-load"])
+    def test_every_mutator_drops_the_index(self, kind, mutator):
+        fresh = entry("2001:db8:ffff::/48", interface=3)
+        mutate = {
+            "insert": lambda t: t.insert(fresh),
+            "replace": lambda t: t.insert(RouteEntry(
+                prefix=self.ROUTES[5].prefix, next_hop=Ipv6Address(9),
+                interface=2)),
+            "remove": lambda t: t.remove(self.ROUTES[5].prefix),
+            "load": lambda t: t.load([fresh]),
+            "clear-then-load": lambda t: (t.clear(), t.load(self.ROUTES)),
+        }[mutator]
+        after_mutation, after_reuse = self._batches(kind, mutate)
+        assert after_mutation == {"hit": 1, "miss": 2}
+        assert after_reuse == {"hit": 2, "miss": 2}
+
+    def test_corrupt_memory_drops_the_index(self, kind):
+        site = make_table(kind).memory_sites()[0]
+        # a flipped next-hop bit keeps the lines well-formed: rebuilt
+        # once, then kept
+        next_hop_bit = (256 if kind == "cam" else 0) + 136 + 127
+        after_mutation, after_reuse = self._batches(
+            kind, lambda t: t.corrupt_memory(site, 7, next_hop_bit))
+        assert after_mutation == {"hit": 1, "miss": 2}
+        assert after_reuse == {"hit": 2, "miss": 2}
+
+    def test_malformed_state_never_serves_from_an_index(self, kind):
+        site = make_table(kind).memory_sites()[0]
+        # a flipped prefix-length bit in the middle of a length group
+        # splits it (sequential); a flipped top mask bit breaks
+        # mask == prefix_mask(length) (CAM)
+        bad_bit = 128 + 5 if kind == "sequential" else 128
+
+        def damage(table):
+            lengths = [route.prefix.length for route in table]
+            middle = next(i for i in range(1, len(lengths) - 1)
+                          if lengths[i - 1] == lengths[i] == lengths[i + 1])
+            table.corrupt_memory(site, middle, bad_bit)
+
+        after_mutation, after_reuse = self._batches(kind, damage)
+        assert after_mutation == {"hit": 1, "miss": 2}
+        assert after_reuse == {"hit": 1, "miss": 3}
+
+    def test_index_counter_passes_the_schema_check(self, kind, tmp_path):
+        registry = MetricsRegistry(enabled=True)
+        previous = set_registry(registry)
+        try:
+            table = make_table(kind, capacity=len(self.ROUTES))
+            table.load(self.ROUTES)
+            table.lookup_batch(self.PROBES)
+            table.lookup_batch(self.PROBES)
+        finally:
+            set_registry(previous)
+        document = {"metrics": registry.snapshot()}
+        output = tmp_path / "metrics.json"
+        output.write_text(json.dumps(document))
+        checker, schema = _schema_checker()
+        assert checker.check(str(output), schema) == 0
+        values = document["metrics"]["counters"][
+            "routing_batch_index_total"]["values"]
+        for label, bogus in (("result", "stale"), ("kind", "hashed")):
+            original = values[0]["labels"][label]
+            values[0]["labels"][label] = bogus
+            output.write_text(json.dumps(document))
+            assert checker.check(str(output), schema) == 1
+            values[0]["labels"][label] = original
+
+
+def _schema_checker():
+    spec = importlib.util.spec_from_file_location(
+        "check_metrics_schema",
+        os.path.join(os.path.dirname(__file__), os.pardir,
+                     "scripts", "check_metrics_schema.py"))
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    with open(checker.SCHEMA_PATH, encoding="utf-8") as handle:
+        return checker, json.load(handle)
+
+
+@pytest.mark.parametrize("kind,site,bit", [
+    ("sequential", "entry", 40),  # image bit of network bit 47 (LSB-first)
+    ("cam", "cam-row", 47),       # match-value bit 47 (MSB-first)
+])
+def test_batch_keeps_the_first_of_duplicated_keys(kind, site, bit):
+    """A flip that turns 2001:db8:1::/48 into a copy of the later
+    2001:db8::/48 leaves two lines with one key: the scan answers with
+    the first, so the batch must too."""
+    tables = [make_table(kind) for _ in range(2)]
+    for table in tables:
+        table.insert(entry("2001:db8:1::/48", interface=1))
+        table.insert(entry("2001:db8::/48", interface=2))
+        table.corrupt_memory(site, 0, bit)
+    single, batched = tables
+    probes = [addr("2001:db8::5")]
+    expected = [single.lookup(address) for address in probes]
+    assert expected[0].interface == 1
+    assert batched.lookup_batch(probes) == expected
