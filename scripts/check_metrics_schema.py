@@ -94,6 +94,8 @@ _LABEL_DOMAINS = (
     ("counters", "routing_update_steps_total", "kind", "routing_table_kind"),
     ("counters", "routing_batch_index_total", "kind", "routing_table_kind"),
     ("counters", "routing_batch_index_total", "result", "cache_result"),
+    ("counters", "routing_update_index_total", "kind", "routing_table_kind"),
+    ("counters", "routing_update_index_total", "result", "cache_result"),
     ("counters", "routing_corruption_detected_total", "kind",
      "routing_table_kind"),
     ("counters", "routing_corruption_detected_total", "protection",

@@ -287,11 +287,13 @@ class Ipv6Prefix:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Ipv6Prefix):
-            return (self._network, self._length) == (other._network, other._length)
+            return (self._length == other._length
+                    and self._network._value == other._network._value)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        # equal to hash((network, length)): an address hashes as its value
+        return hash((self._network._value, self._length))
 
     def __repr__(self) -> str:
         return f"Ipv6Prefix('{self}')"

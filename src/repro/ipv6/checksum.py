@@ -17,16 +17,17 @@ def ones_complement_sum(data: bytes, initial: int = 0) -> int:
 
     Odd-length input is zero-padded on the right, per RFC 1071.
     Returns the 16-bit accumulated sum (not complemented).
+
+    End-around carry keeps a sum modulo 0xFFFF, and 2**16 is 1 modulo
+    0xFFFF, so the whole input read as one big-endian integer is
+    congruent to its word sum: one reduction replaces the word loop.
+    The accumulator never wraps to 0x0000 once anything non-zero was
+    added, so a non-zero total that is a multiple of 0xFFFF is 0xFFFF.
     """
-    total = initial & 0xFFFF
     if len(data) % 2:
         data = data + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    # A final fold: the loop keeps the carry bounded but a straggler can remain.
-    total = (total & 0xFFFF) + (total >> 16)
-    return total & 0xFFFF
+    total = (initial & 0xFFFF) + int.from_bytes(data, "big")
+    return (total - 1) % 0xFFFF + 1 if total else 0
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:

@@ -68,9 +68,13 @@ class _Instrument:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
+        self._label_set = frozenset(self.label_names)
 
     def _key(self, labels: Dict[str, object]) -> _LabelKey:
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
+        # the length test keeps rejecting duplicated label names, which
+        # no keyword set can match
+        if not (len(labels) == len(self.label_names)
+                and labels.keys() == self._label_set):
             raise ObservabilityError(
                 f"metric {self.name!r} takes labels "
                 f"{sorted(self.label_names)}, got {sorted(labels)}")

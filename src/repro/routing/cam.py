@@ -27,6 +27,7 @@ from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.lengthindex import LengthIndex, Line
 from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
+from repro.routing.prefixorder import PrefixOrder
 
 CAM_WIDTH_BITS = 136
 """128 address bits + 8 tag bits, as in the paper."""
@@ -76,6 +77,12 @@ class _CamLine:
     mask: int
     entry: RouteEntry
 
+    @classmethod
+    def of(cls, entry: RouteEntry) -> "_CamLine":
+        prefix = entry.prefix
+        return cls(value=prefix.network.value, mask=prefix.mask(),
+                   entry=entry)
+
 
 class CamRoutingTable(RoutingTable):
     """TCAM-style table: single-step parallel match, priority by length."""
@@ -89,37 +96,35 @@ class CamRoutingTable(RoutingTable):
         self.physical = physical or CamPhysicalModel()
         self._lines: List[_CamLine] = []
         self._index = LengthIndex(self.kind)
+        self._order = PrefixOrder(self.kind)
         # CAM occupancy per search at the part's reference clock, cached
         # so the lookup path publishes busy cycles without recomputing
         self._search_busy_cycles = self.physical.search_cycles(
             self.physical.reference_clock_mhz * 1e6)
 
+    # The kept exact-prefix index (repro.routing.prefixorder) finds a
+    # prefix's line and a new prefix's slot. The steps model the
+    # hardware: one parallel match, then line writes.
+
     def _insert(self, entry: RouteEntry) -> int:
         self._index.drop()
-        prefix = entry.prefix
-        for line in self._lines:
-            if line.entry.prefix == prefix:
-                line.entry = entry
-                return 2  # one parallel match + one line write
-        new_line = _CamLine(value=prefix.network.value, mask=prefix.mask(),
-                            entry=entry)
-        position = len(self._lines)
-        for i, line in enumerate(self._lines):
-            if line.entry.prefix.length < prefix.length:
-                position = i
-                break
-        self._lines.insert(position, new_line)
+        position = self._order.find(entry.prefix, self._prefixes)
+        if position is not None:
+            self._lines[position].entry = entry
+            return 2  # one parallel match + one line write
+        position = self._order.add(entry.prefix, self._prefixes)
+        self._lines.insert(position, _CamLine.of(entry))
         # A real TCAM must shuffle lines to keep priority order; count the
         # displaced lines as the update cost.
         return 1 + (len(self._lines) - position - 1)
 
     def _remove(self, prefix: Ipv6Prefix) -> int:
         self._index.drop()
-        for i, line in enumerate(self._lines):
-            if line.entry.prefix == prefix:
-                del self._lines[i]
-                return 1 + (len(self._lines) - i)
-        raise RoutingTableError(f"no such route: {prefix}")
+        position = self._order.discard(prefix, self._prefixes)
+        if position is None:
+            raise RoutingTableError(f"no such route: {prefix}")
+        del self._lines[position]
+        return 1 + (len(self._lines) - position)
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         # Hardware matches all lines in parallel; the model's "steps" is 1
@@ -173,10 +178,8 @@ class CamRoutingTable(RoutingTable):
         ordered = sorted(
             merged.values(), key=lambda entry: -entry.prefix.length)
         self._index.drop()
-        self._lines = [
-            _CamLine(value=entry.prefix.network.value,
-                     mask=entry.prefix.mask(), entry=entry)
-            for entry in ordered]
+        self._order.drop()
+        self._lines = [_CamLine.of(entry) for entry in ordered]
         self._account_bulk_load(len(entries), len(merged))
 
     def search_latency_cycles(self) -> int:
@@ -185,10 +188,11 @@ class CamRoutingTable(RoutingTable):
         return self._search_busy_cycles
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
-        for line in self._lines:
-            if line.entry.prefix == prefix:
-                return line.entry
-        return None
+        position = self._order.find(prefix, self._prefixes)
+        return None if position is None else self._lines[position].entry
+
+    def _prefixes(self) -> Iterator[Ipv6Prefix]:
+        return (line.entry.prefix for line in self._lines)
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -227,6 +231,7 @@ class CamRoutingTable(RoutingTable):
         self._check_memory_index(site, index, len(self._lines))
         self._check_memory_bit(site, bit, 256 + ENTRY_BITS)
         self._index.drop()
+        self._order.drop()
         line = self._lines[index]
         prefix = line.entry.prefix
         if bit < 128:

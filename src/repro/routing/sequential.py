@@ -19,6 +19,7 @@ from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.lengthindex import LengthIndex, Line
 from repro.routing.memimage import ENTRY_BITS, corrupt_entry, pack_entry
+from repro.routing.prefixorder import PrefixOrder
 
 
 class SequentialRoutingTable(RoutingTable):
@@ -30,36 +31,37 @@ class SequentialRoutingTable(RoutingTable):
         super().__init__(capacity)
         self._entries: List[RouteEntry] = []
         self._index = LengthIndex(self.kind)
+        self._order = PrefixOrder(self.kind)
 
     # -- core operations -----------------------------------------------------
+    #
+    # The kept exact-prefix index (repro.routing.prefixorder) finds a
+    # prefix's scan position and a new prefix's slot. The steps model a
+    # linear scan of the cache memory up to that position.
 
     def _insert(self, entry: RouteEntry) -> int:
         self._index.drop()
-        steps = 0
-        for i, existing in enumerate(self._entries):
-            steps += 1
-            if existing.prefix == entry.prefix:
-                self._entries[i] = entry
-                return steps + 1
-        # Insert keeping descending prefix-length order (stable within a
-        # length class): find the first slot with a shorter prefix.
-        position = len(self._entries)
-        for i, existing in enumerate(self._entries):
-            if existing.prefix.length < entry.prefix.length:
-                position = i
-                break
-        self._entries.insert(position, entry)
+        entries = self._entries
+        position = self._order.find(entry.prefix, self._prefixes)
+        if position is not None:
+            entries[position] = entry
+            return position + 2  # entries compared up to it, one write
+        # A new prefix is compared with every entry, then placed keeping
+        # descending prefix-length order (stable within a length class).
+        scanned = len(entries)
+        position = self._order.add(entry.prefix, self._prefixes)
+        entries.insert(position, entry)
         # Shifting the tail models the memory writes a real cache-memory
         # table performs to keep the array contiguous.
-        return steps + (len(self._entries) - position)
+        return scanned + (len(entries) - position)
 
     def _remove(self, prefix: Ipv6Prefix) -> int:
         self._index.drop()
-        for i, existing in enumerate(self._entries):
-            if existing.prefix == prefix:
-                del self._entries[i]
-                return i + 1 + (len(self._entries) - i)
-        raise RoutingTableError(f"no such route: {prefix}")
+        position = self._order.discard(prefix, self._prefixes)
+        if position is None:
+            raise RoutingTableError(f"no such route: {prefix}")
+        del self._entries[position]
+        return position + 1 + (len(self._entries) - position)
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         steps = 0
@@ -70,10 +72,11 @@ class SequentialRoutingTable(RoutingTable):
         return None, steps
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
-        for entry in self._entries:
-            if entry.prefix == prefix:
-                return entry
-        return None
+        position = self._order.find(prefix, self._prefixes)
+        return None if position is None else self._entries[position]
+
+    def _prefixes(self) -> Iterator[Ipv6Prefix]:
+        return (entry.prefix for entry in self._entries)
 
     # -- bulk fast paths ------------------------------------------------------
 
@@ -94,6 +97,7 @@ class SequentialRoutingTable(RoutingTable):
         for entry in entries:
             merged[entry.prefix] = entry
         self._index.drop()
+        self._order.drop()
         self._entries = sorted(
             merged.values(), key=lambda entry: -entry.prefix.length)
         self._account_bulk_load(len(entries), len(merged))
@@ -145,6 +149,7 @@ class SequentialRoutingTable(RoutingTable):
         self._check_memory_index(site, index, len(self._entries))
         self._check_memory_bit(site, bit, ENTRY_BITS)
         self._index.drop()
+        self._order.drop()
         before = self._entries[index]
         self._entries[index] = corrupt_entry(before, bit)
         return f"entry[{index}] bit {bit} ({before.prefix})"

@@ -172,3 +172,22 @@ class TestPrefix:
         assert prefix_mask(0) == 0
         assert prefix_mask(128) == (1 << 128) - 1
         assert prefix_mask(1) == 1 << 127
+
+    @given(addresses, st.integers(min_value=0, max_value=128))
+    def test_hash_is_the_network_length_pair_hash(self, value, length):
+        """Prefix hashes stay hash((network, length)), so every set or
+        dict of prefixes iterates in the order it always did."""
+        p = Ipv6Prefix.of(Ipv6Address(value), length)
+        assert hash(p) == hash((p.network, p.length))
+
+    @given(addresses, st.integers(min_value=0, max_value=128),
+           addresses, st.integers(min_value=0, max_value=128))
+    def test_equality_is_network_and_length(self, a, la, b, lb):
+        p = Ipv6Prefix.of(Ipv6Address(a), la)
+        q = Ipv6Prefix.of(Ipv6Address(b), lb)
+        assert (p == q) == ((p.network, p.length) == (q.network, q.length))
+        assert p == Ipv6Prefix.of(Ipv6Address(a), la)
+        assert p != (p.network, p.length)
+        assert p != p.network
+        assert Ipv6Prefix.of(Ipv6Address(0), la) \
+            != Ipv6Prefix.of(Ipv6Address(0), (la + 1) % 129)

@@ -16,6 +16,23 @@ SRC = Ipv6Address.parse("2001:db8::1")
 DST = Ipv6Address.parse("2001:db8::2")
 
 
+def word_loop_sum(data, initial=0):
+    """RFC 1071's word-at-a-time end-around-carry loop, the reference
+    ``ones_complement_sum`` must agree with."""
+    total = initial & 0xFFFF
+    if len(data) % 2:
+        data = data + b"\x00"
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return total & 0xFFFF
+
+
+def words_to_bytes(words):
+    return b"".join(word.to_bytes(2, "big") for word in words)
+
+
 class TestOnesComplement:
     def test_rfc1071_example(self):
         # RFC 1071 §3 example: 0001 f203 f4f5 f6f7 -> sum ddf2 (carry folded)
@@ -44,6 +61,36 @@ class TestOnesComplement:
         words = [data[i:i + 2] for i in range(0, len(data), 2)]
         assert ones_complement_sum(b"".join(reversed(words))) == \
             ones_complement_sum(data)
+
+    @given(st.binary(max_size=600), st.integers(0, 1 << 40))
+    def test_matches_the_word_loop(self, data, initial):
+        assert ones_complement_sum(data, initial) \
+            == word_loop_sum(data, initial)
+
+    @given(st.lists(st.integers(0, 0xFFFF), max_size=40),
+           st.integers(0, 0x2FFFF), st.booleans())
+    def test_matches_the_word_loop_on_multiples_of_ffff(
+            self, words, initial, odd):
+        """Words completed to a sum that is a multiple of 0xFFFF: the
+        loop answers 0xFFFF unless everything added was zero."""
+        words = words + [(-(sum(words) + (initial & 0xFFFF))) % 0xFFFF]
+        data = words_to_bytes(words)
+        if odd and words[-1] & 0xFF == 0:
+            data = data[:-1]  # the padding byte restores the dropped 0
+        expected = word_loop_sum(data, initial)
+        assert ones_complement_sum(data, initial) == expected
+        everything_zero = not any(data) and not initial & 0xFFFF
+        assert expected == (0 if everything_zero else 0xFFFF)
+
+    @pytest.mark.parametrize("data,initial", [
+        (b"", 0), (b"", 0x10000), (b"", 0x1FFFF), (b"", 0xFFFF),
+        (b"\x00", 0), (b"\x00" * 7, 0), (b"\x00" * 8, 0x30000),
+        (b"\xff\xff", 0), (b"\x80\x00\x7f\xff", 0), (b"\xff", 0xFF),
+        (b"\xff\xff" * 5, 0), (b"\x00\x01", 0xFFFE), (b"\x00\x01", 0xFFFF),
+    ])
+    def test_zero_and_all_ones_edges(self, data, initial):
+        assert ones_complement_sum(data, initial) \
+            == word_loop_sum(data, initial)
 
 
 class TestTransport:

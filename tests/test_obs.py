@@ -61,6 +61,33 @@ class TestInstruments:
         with pytest.raises(ObservabilityError):
             counter.inc()  # missing the declared label
 
+    @pytest.mark.parametrize("labels,got", [
+        ({"kind": "x"}, "['kind']"),
+        ({"kind": "x", "op": "y", "extra": "z"}, "['extra', 'kind', 'op']"),
+        ({"kind": "x", "opp": "y"}, "['kind', 'opp']"),
+        ({"op": "y", "knd": "x"}, "['knd', 'op']"),
+    ])
+    def test_missing_extra_and_misspelled_labels_raise(
+            self, registry, labels, got):
+        counter = registry.counter("c", labels=("op", "kind"))
+        gauge = registry.gauge("g", labels=("op", "kind"))
+        histogram = registry.histogram("h", buckets=(1.0,),
+                                       labels=("op", "kind"))
+        message = f"metric '{{}}' takes labels ['kind', 'op'], got {got}"
+        for name, record in (("c", counter.inc), ("g", gauge.set),
+                             ("h", histogram.observe)):
+            with pytest.raises(ObservabilityError) as raised:
+                record(1, **labels)
+            assert str(raised.value) == message.format(name)
+        counter.inc(op="y", kind="x")  # any keyword order is accepted
+        assert counter.value(kind="x", op="y") == 1
+
+    def test_duplicated_label_names_match_no_labels(self, registry):
+        counter = registry.counter("dup", labels=("kind", "kind"))
+        for labels in ({}, {"kind": "x"}):
+            with pytest.raises(ObservabilityError):
+                counter.inc(**labels)
+
     def test_gauge_set_inc_dec(self, registry):
         depth = registry.gauge("depth")
         depth.set(5)

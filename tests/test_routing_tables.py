@@ -20,7 +20,7 @@ from repro.routing import (
     TABLE_KINDS,
     make_table,
 )
-from repro.routing.cam import CamPhysicalModel
+from repro.routing.cam import CamPhysicalModel, _CamLine
 from repro.routing.entry import RouteEntry
 from repro.workload.fib import FibProfile, synthesize_fib, zipf_addresses
 
@@ -929,3 +929,314 @@ def test_batch_keeps_the_first_of_duplicated_keys(kind, site, bit):
     expected = [single.lookup(address) for address in probes]
     assert expected[0].interface == 1
     assert batched.lookup_batch(probes) == expected
+
+
+# -- exact-prefix index against the scan it replaced ---------------------------
+
+
+class _ScanSequential(SequentialRoutingTable):
+    """The sequential table answering exact-prefix operations by the
+    linear scans the kept index replaced."""
+
+    def _insert(self, entry):
+        self._index.drop()
+        steps = 0
+        for i, existing in enumerate(self._entries):
+            steps += 1
+            if existing.prefix == entry.prefix:
+                self._entries[i] = entry
+                return steps + 1
+        position = len(self._entries)
+        for i, existing in enumerate(self._entries):
+            if existing.prefix.length < entry.prefix.length:
+                position = i
+                break
+        self._entries.insert(position, entry)
+        return steps + (len(self._entries) - position)
+
+    def _remove(self, prefix):
+        self._index.drop()
+        for i, existing in enumerate(self._entries):
+            if existing.prefix == prefix:
+                del self._entries[i]
+                return i + 1 + (len(self._entries) - i)
+        raise RoutingTableError(f"no such route: {prefix}")
+
+    def get(self, prefix):
+        for existing in self._entries:
+            if existing.prefix == prefix:
+                return existing
+        return None
+
+
+class _ScanCam(CamRoutingTable):
+    """The CAM answering exact-prefix operations by the line scans the
+    kept index replaced."""
+
+    def _insert(self, entry):
+        self._index.drop()
+        prefix = entry.prefix
+        for line in self._lines:
+            if line.entry.prefix == prefix:
+                line.entry = entry
+                return 2
+        position = len(self._lines)
+        for i, line in enumerate(self._lines):
+            if line.entry.prefix.length < prefix.length:
+                position = i
+                break
+        self._lines.insert(position, _CamLine(
+            value=prefix.network.value, mask=prefix.mask(), entry=entry))
+        return 1 + (len(self._lines) - position - 1)
+
+    def _remove(self, prefix):
+        self._index.drop()
+        for i, line in enumerate(self._lines):
+            if line.entry.prefix == prefix:
+                del self._lines[i]
+                return 1 + (len(self._lines) - i)
+        raise RoutingTableError(f"no such route: {prefix}")
+
+    def get(self, prefix):
+        for line in self._lines:
+            if line.entry.prefix == prefix:
+                return line.entry
+        return None
+
+
+SCAN_TWINS = {"sequential": _ScanSequential, "cam": _ScanCam}
+#: the pool's prefixes with another next hop: inserts that replace
+REPLACEMENTS = [RouteEntry(prefix=route.prefix, next_hop=Ipv6Address(77),
+                           interface=3, metric=2) for route in TWIN_POOL]
+#: a prefix no pool route holds
+ABSENT = Ipv6Prefix.of(Ipv6Address(OUTSIDE_POOL), 8)
+PREFIXES = [route.prefix for route in TWIN_POOL] + [ABSENT]
+
+
+def _observable(table, registry):
+    """What a caller can see of *table*: its entries, scan order, memory
+    image, ``stats`` and routing_* counters (minus the update-index
+    counter, which only the indexed table publishes)."""
+    site = table.memory_sites()[0]
+    order = (table.priority_order() if table.kind == "cam"
+             else [stored.prefix for stored in table.memory_layout()])
+    counters = {name: metric["values"]
+                for name, metric in registry.snapshot()["counters"].items()
+                if name.startswith("routing_")
+                and name != "routing_update_index_total"}
+    return (list(table), order,
+            [table.memory_record(site, index)
+             for index in range(table.memory_record_count(site))],
+            table.stats, counters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(SCAN_TWINS)), data=st.data())
+def test_exact_prefix_index_matches_the_scans(kind, data):
+    """Interleaved inserts (new and replacing), removals (present and
+    absent), ``get``, ``in``, loads, clears, corruption and batches: the
+    indexed table and a twin that scans answer, raise and account alike,
+    and keep the same order and memory image."""
+    tables = [make_table(kind, capacity=16), SCAN_TWINS[kind](capacity=16)]
+    registries = [MetricsRegistry(enabled=True) for _ in tables]
+
+    def on_both(action):
+        outcomes = []
+        for table, registry in zip(tables, registries):
+            previous = set_registry(registry)
+            try:
+                outcomes.append(("ok", action(table)))
+            except Exception as exc:  # noqa: BLE001 — compared below
+                outcomes.append((type(exc), str(exc)))
+            finally:
+                set_registry(previous)
+        assert outcomes[0] == outcomes[1]
+
+    prefix_length_bit = (256 if kind == "cam" else 0) + 128
+    for _ in range(data.draw(st.integers(1, 30), label="ops")):
+        op = data.draw(st.sampled_from(
+            ("insert", "insert", "insert", "remove", "get", "in", "load",
+             "clear", "corrupt", "batch")))
+        if op == "insert":
+            route = data.draw(st.sampled_from(TWIN_POOL + REPLACEMENTS))
+            on_both(lambda t: t.insert(route))
+        elif op in ("remove", "get", "in"):
+            prefix = data.draw(st.sampled_from(PREFIXES))
+            on_both({"remove": lambda t: t.remove(prefix),
+                     "get": lambda t: t.get(prefix),
+                     "in": lambda t: prefix in t}[op])
+        elif op == "load":
+            routes = data.draw(st.lists(st.sampled_from(
+                TWIN_POOL + REPLACEMENTS), max_size=10))
+            on_both(lambda t: t.load(routes))
+        elif op == "clear":
+            on_both(lambda t: t.clear())
+        elif op == "corrupt" and len(tables[0]):
+            site = tables[0].memory_sites()[0]
+            index = data.draw(st.integers(0, len(tables[0]) - 1))
+            record_bits = 8 * len(tables[0].memory_record(site, index))
+            bit = data.draw(st.one_of(
+                st.integers(0, record_bits - 1),
+                st.integers(prefix_length_bit, prefix_length_bit + 7)))
+            on_both(lambda t: t.corrupt_memory(site, index, bit))
+        elif op == "batch":
+            hosts = data.draw(st.lists(st.integers(0, ALL_ONES),
+                                       max_size=8))
+            addresses = [Ipv6Address(
+                PREFIXES[i % len(PREFIXES)].network.value
+                | (host & ~PREFIXES[i % len(PREFIXES)].mask() & ALL_ONES))
+                for i, host in enumerate(hosts)]
+            on_both(lambda t: t.lookup_batch(addresses))
+        assert _observable(tables[0], registries[0]) \
+            == _observable(tables[1], registries[1])
+    builds = registries[0].snapshot()["counters"].get(
+        "routing_update_index_total", {"values": []})["values"]
+    assert {value["labels"]["result"] for value in builds} <= {"miss"}
+
+
+def _update_index_misses(registry, kind):
+    values = registry.snapshot()["counters"].get(
+        "routing_update_index_total", {"values": []})["values"]
+    assert all(value["labels"]["result"] == "miss" for value in values)
+    return sum(value["value"] for value in values
+               if value["labels"]["kind"] == kind)
+
+
+@pytest.mark.parametrize("kind", sorted(SCAN_TWINS))
+class TestPrefixIndexLifetime:
+    """The exact-prefix index is built on first use, kept by updates,
+    dropped by bulk loads and corruption, and refused on malformed
+    state (``routing_update_index_total`` counts builds and refusals)."""
+
+    ROUTES = synthesize_fib(50, seed=31)
+    FRESH = entry("2001:db8:ffff::/48", interface=3)
+
+    def _run(self, kind, steps):
+        registry = MetricsRegistry(enabled=True)
+        previous = set_registry(registry)
+        try:
+            table = make_table(kind, capacity=len(self.ROUTES) + 4)
+            table.load(self.ROUTES)
+            misses = []
+            for step in steps:
+                step(table)
+                misses.append(_update_index_misses(registry, kind))
+            return misses
+        finally:
+            set_registry(previous)
+
+    def test_a_bulk_loaded_table_that_only_searches_never_builds(self, kind):
+        probes = zipf_addresses(self.ROUTES, 40, seed=32)
+        assert self._run(kind, [
+            lambda t: t.lookup_batch(probes),
+            lambda t: [t.lookup(address) for address in probes],
+            lambda t: t.entries(),
+        ]) == [0, 0, 0]
+
+    def test_built_once_and_kept_by_updates(self, kind):
+        replacement = RouteEntry(prefix=self.ROUTES[5].prefix,
+                                 next_hop=Ipv6Address(9), interface=2)
+        assert self._run(kind, [
+            lambda t: t.get(self.ROUTES[3].prefix),
+            lambda t: t.insert(self.FRESH),
+            lambda t: t.insert(replacement),
+            lambda t: t.remove(self.ROUTES[7].prefix),
+            lambda t: self.ROUTES[7].prefix in t,
+            lambda t: t.load([self.ROUTES[7], self.FRESH]),
+            lambda t: t.clear(),
+            lambda t: t.insert(self.FRESH),
+        ]) == [1] * 8
+
+    def test_bulk_load_and_corruption_drop_it(self, kind):
+        site = make_table(kind).memory_sites()[0]
+        next_hop_bit = (256 if kind == "cam" else 0) + 136 + 127
+        assert self._run(kind, [
+            lambda t: t.get(self.FRESH.prefix),
+            lambda t: (t.clear(), t.load(self.ROUTES)),
+            lambda t: t.get(self.FRESH.prefix),
+            lambda t: t.corrupt_memory(site, 7, next_hop_bit),
+            lambda t: t.insert(self.FRESH),
+        ]) == [1, 1, 2, 2, 3]
+
+    def test_malformed_state_is_refused_until_a_removal(self, kind):
+        """A prefix-length flip that breaks the length order: the index
+        is refused once, the scans answer (as the scan twin does), and
+        a removal lets the index be tried again."""
+        site = make_table(kind).memory_sites()[0]
+        top_length_bit = (256 if kind == "cam" else 0) + 128 + 7
+        twin = SCAN_TWINS[kind](capacity=len(self.ROUTES) + 4)
+        twin.load(self.ROUTES)
+        twin.corrupt_memory(site, 5, top_length_bit)
+        replacement = RouteEntry(prefix=self.ROUTES[9].prefix,
+                                 next_hop=Ipv6Address(9), interface=2)
+        for step in (lambda t: t.insert(self.FRESH),
+                     lambda t: t.insert(replacement)):
+            step(twin)
+        assert self._run(kind, [
+            lambda t: t.corrupt_memory(site, 5, top_length_bit),
+            lambda t: t.get(self.ROUTES[9].prefix),
+            lambda t: t.insert(self.FRESH),
+            lambda t: t.insert(replacement),
+            lambda t: self._same(t, twin),
+            lambda t: (t.remove(self.FRESH.prefix),
+                       twin.remove(self.FRESH.prefix)),
+            lambda t: t.get(self.ROUTES[9].prefix),
+            lambda t: self._same(t, twin),
+        ]) == [0, 1, 1, 1, 1, 1, 2, 2]
+
+    @staticmethod
+    def _same(table, twin):
+        assert list(table) == list(twin)
+        assert table.stats == twin.stats
+
+
+def test_update_index_counter_passes_the_schema_check(tmp_path):
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    try:
+        for kind in sorted(SCAN_TWINS):
+            table = make_table(kind)
+            table.insert(entry("2001:db8::/32"))
+    finally:
+        set_registry(previous)
+    document = {"metrics": registry.snapshot()}
+    values = document["metrics"]["counters"][
+        "routing_update_index_total"]["values"]
+    assert sorted(value["labels"]["kind"] for value in values) \
+        == sorted(SCAN_TWINS)
+    output = tmp_path / "metrics.json"
+    output.write_text(json.dumps(document))
+    checker, schema = _schema_checker()
+    assert checker.check(str(output), schema) == 0
+    for label, bogus in (("result", "served"), ("kind", "indexed")):
+        original = values[0]["labels"][label]
+        values[0]["labels"][label] = bogus
+        output.write_text(json.dumps(document))
+        assert checker.check(str(output), schema) == 1
+        values[0]["labels"][label] = original
+
+
+@pytest.mark.parametrize("kind,bit", [
+    ("sequential", 40),  # image bit of network bit 47 (LSB-first)
+    ("cam", 256 + 40),   # the same bit of the line's SRAM entry
+])
+def test_exact_prefix_operations_take_the_first_of_duplicated_prefixes(
+        kind, bit):
+    """A flip that turns 2001:db8:1::/48 into a copy of the later
+    2001:db8::/48 stores one prefix twice: get, replace and remove act
+    on the first copy, as the scans do."""
+    tables = [make_table(kind), SCAN_TWINS[kind]()]
+    prefix = Ipv6Prefix.parse("2001:db8::/48")
+    replacement = entry("2001:db8::/48", interface=5)
+    for table in tables:
+        table.insert(entry("2001:db8:1::/48", interface=1))
+        table.insert(entry("2001:db8::/48", interface=2))
+        table.corrupt_memory(table.memory_sites()[0], 0, bit)
+        assert table.get(prefix).interface == 1
+    indexed, scanned = tables
+    for step in (lambda t: t.insert(replacement),
+                 lambda t: t.remove(prefix),
+                 lambda t: t.get(prefix)):
+        assert step(indexed) == step(scanned)
+        assert list(indexed) == list(scanned)
+        assert indexed.stats == scanned.stats
