@@ -31,6 +31,8 @@ def apply_update_burst(kind: str, seed: int = 5) -> float:
     """One RIPng burst against a 100-entry table; mean steps per change."""
     table = make_table(kind, capacity=128)
     table.load(generate_routes(100, seed=seed))
+    # the burst's own cost: the bulk load's writes are not changes
+    load_steps = table.stats.total_update_steps
     rng = random.Random(seed)
     victims = rng.sample([r.prefix for r in table.entries()
                           if r.prefix.length > 0], BURST_ROUTES)
@@ -43,7 +45,8 @@ def apply_update_burst(kind: str, seed: int = 5) -> float:
                 break
         table.insert(RouteEntry(prefix=prefix, next_hop=Ipv6Address(i + 1),
                                 interface=i % 4))
-    return table.stats.total_update_steps / (2 * BURST_ROUTES)
+    return (table.stats.total_update_steps - load_steps) \
+        / (2 * BURST_ROUTES)
 
 
 def test_update_load_negligible(benchmark):

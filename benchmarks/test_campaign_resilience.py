@@ -19,7 +19,7 @@ from repro.dse import (
     paper_space,
     run_table1_campaign,
 )
-from repro.dse.evaluator import Evaluator
+from repro.dse.evaluator import ArchitectureEvaluator
 
 POISON = ArchitectureConfiguration(
     bus_count=1, matchers=3, counters=3, comparators=3,
@@ -28,7 +28,7 @@ POISON = ArchitectureConfiguration(
 
 def _poisoned_runner(routes, packets, journal_path=None, resume=False):
     evaluator = PoisonedEvaluator(
-        Evaluator(routes=routes, packets=packets), [POISON])
+        ArchitectureEvaluator(routes=routes, packets=packets), [POISON])
     return CampaignRunner(evaluator, journal_path=journal_path,
                           resume=resume)
 

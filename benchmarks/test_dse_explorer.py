@@ -10,9 +10,9 @@ fewer configurations.
 from __future__ import annotations
 
 from repro.dse import (
+    ArchitectureEvaluator,
     DesignConstraints,
     DesignSpace,
-    Evaluator,
     ExhaustiveExplorer,
     GreedyExplorer,
     pareto_front,
@@ -21,7 +21,7 @@ from repro.reporting import render_rows
 
 
 def build_evaluator():
-    return Evaluator(table_entries=100, packet_batch=6)
+    return ArchitectureEvaluator(table_entries=100, packet_batch=6)
 
 
 def test_heuristic_explorer(benchmark, evaluator):

@@ -35,13 +35,13 @@ either way.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.conformance import ConformanceReport
 from repro.conformance import run_conformance as _run_conformance
 from repro.dse.campaign import (
     CampaignPolicy,
-    CampaignRunner,
+    ParallelCampaignRunner,
     run_table1_campaign,
 )
 from repro.dse.config import ArchitectureConfiguration
@@ -51,7 +51,6 @@ from repro.dse.evaluator import (
     EvaluationResult,
 )
 from repro.dse.explorer import ExplorationOutcome, GreedyExplorer
-from repro.dse.parallel import ParallelCampaignRunner
 from repro.dse.pareto import DesignConstraints
 from repro.dse.sdc import (
     DEFAULT_MEMORY_FLIPS,
@@ -156,15 +155,11 @@ def backends() -> List[SimulatorBackend]:
 
 def _runner(factory, *, jobs: int, journal: Optional[str], resume: bool,
             cycle_budget: Optional[int]
-            ) -> Union[CampaignRunner, ParallelCampaignRunner]:
-    policy = CampaignPolicy(
-        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
-    if jobs > 1:
-        return ParallelCampaignRunner(
-            factory, jobs=jobs, journal_path=journal, resume=resume,
-            policy=policy)
-    return CampaignRunner(factory(), journal_path=journal, resume=resume,
-                          policy=policy)
+            ) -> ParallelCampaignRunner:
+    return ParallelCampaignRunner(
+        factory, jobs=jobs, journal_path=journal, resume=resume,
+        policy=CampaignPolicy(
+            cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES))
 
 
 def evaluate(config: ArchitectureConfiguration, *,

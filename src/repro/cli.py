@@ -54,7 +54,6 @@ from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
     CampaignPolicy,
-    CampaignRunner,
     DesignConstraints,
     DesignSpace,
     GreedyExplorer,
@@ -506,14 +505,11 @@ def _evaluator_factory(args: argparse.Namespace):
 
 
 def _make_campaign_runner(factory, args: argparse.Namespace
-                          ) -> CampaignRunner:
-    policy = CampaignPolicy(cycle_budget=args.cycle_budget)
-    if args.jobs > 1:
-        return ParallelCampaignRunner(
-            factory, jobs=args.jobs, journal_path=args.journal,
-            resume=args.resume, policy=policy)
-    return CampaignRunner(factory(), journal_path=args.journal,
-                          resume=args.resume, policy=policy)
+                          ) -> ParallelCampaignRunner:
+    return ParallelCampaignRunner(
+        factory, jobs=args.jobs, journal_path=args.journal,
+        resume=args.resume,
+        policy=CampaignPolicy(cycle_budget=args.cycle_budget))
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:

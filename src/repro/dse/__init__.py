@@ -5,6 +5,7 @@ from repro.dse.campaign import (
     CampaignResult,
     CampaignRunner,
     EvaluationFailure,
+    ParallelCampaignRunner,
     PoisonedEvaluator,
     config_from_dict,
     config_key,
@@ -23,7 +24,6 @@ from repro.dse.config import (
 from repro.dse.evaluator import (
     ArchitectureEvaluator,
     EvaluationResult,
-    Evaluator,
 )
 from repro.dse.explorer import (
     ExhaustiveExplorer,
@@ -36,7 +36,6 @@ from repro.dse.lookup_sweep import (
     LookupSweepRunner,
     plan_cells,
 )
-from repro.dse.parallel import ParallelCampaignRunner
 from repro.dse.pareto import DesignConstraints, pareto_front, select_best
 from repro.dse.sdc import (
     SdcSweepResult,
@@ -67,7 +66,7 @@ __all__ = [
     "config_from_dict", "config_key", "config_to_dict", "evaluate_guarded",
     "ArchitectureConfiguration", "PAPER_CONFIGURATIONS",
     "paper_configurations",
-    "ArchitectureEvaluator", "EvaluationResult", "Evaluator",
+    "ArchitectureEvaluator", "EvaluationResult",
     "EvaluatorProtocol", "BatchEvaluator", "supports_batching",
     "ExhaustiveExplorer", "ExplorationOutcome", "GreedyExplorer",
     "ParallelCampaignRunner",

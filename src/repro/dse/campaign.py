@@ -2,10 +2,10 @@
 
 A *campaign* is a long-running sweep of evaluations — an exhaustive
 enumeration, a Table 1 regeneration, or a heuristic explorer's walk. The
-bare :class:`~repro.dse.evaluator.Evaluator` raises on the first bad
-configuration, which forfeits every result a long sweep already earned.
-:class:`CampaignRunner` wraps an evaluator with the resilience a
-production sweep needs:
+bare :class:`~repro.dse.evaluator.ArchitectureEvaluator` raises on the
+first bad configuration, which forfeits every result a long sweep
+already earned. :class:`CampaignRunner` wraps an evaluator with the
+resilience a production sweep needs:
 
 * **fault isolation** — a failing configuration becomes a structured
   :class:`EvaluationFailure` record (error class, message, cycle/pc,
@@ -17,26 +17,25 @@ production sweep needs:
 * **quarantine** — configurations that fail deterministically (functional
   mismatches, structural errors, exhausted retries) are quarantined:
   recorded, reported, and never re-evaluated;
-* **crash-safe persistence** — every outcome is appended to a JSONL
-  journal, fsync'd per record, so a killed campaign loses at most the
-  record being written;
-* **resume** — replaying the journal skips every already-evaluated
-  configuration (a torn trailing record is discarded and the journal is
-  compacted via atomic temp-file + rename); a resumed campaign's final
-  output is byte-identical to an uninterrupted run's.
+* **journal, resume and parallelism** — from the shared
+  :class:`~repro.dse.sweep.SweepEngine`: every outcome is journalled
+  (fsync'd per record), a resumed campaign replays the journal, and
+  :class:`ParallelCampaignRunner` fans a sweep out over a process pool
+  with one evaluator per worker and crashed workers quarantined as
+  :class:`~repro.errors.WorkerCrashError`. Sequential, parallel and
+  resumed campaigns render byte-identically.
 
 Journal records carry the evaluation's *inputs* to the physical
 estimation (cycles, utilisation, required clock, program-store footprint),
 so replayed results are reconstructed exactly through the same pure
-estimation functions rather than approximated.
+estimation functions rather than approximated — which is also why
+records, not results, cross the process boundary.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +50,13 @@ from repro.dse.evaluator import (
     EvaluationResult,
 )
 from repro.dse.protocols import Evaluator
+from repro.dse.sweep import (  # noqa: F401  (journal I/O re-exported)
+    JOURNAL_VERSION,
+    SweepEngine,
+    load_journal,
+    write_atomic,
+    write_atomic_bytes,
+)
 from repro.dse.table1 import PAPER_TABLE1, Table1Row
 from repro.errors import (
     CampaignError,
@@ -61,8 +67,6 @@ from repro.errors import (
 from repro.estimation.area import estimate_area
 from repro.estimation.power import estimate_power
 from repro.obs import get_registry
-
-JOURNAL_VERSION = 1
 
 
 # -- configuration (de)serialisation -----------------------------------------------
@@ -84,91 +88,6 @@ def config_key(config: ArchitectureConfiguration) -> str:
     """
     payload = config_to_dict(config.with_cam_latency(1))
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-# -- journal I/O -------------------------------------------------------------------
-
-
-def write_atomic_bytes(path: str, data: bytes) -> None:
-    """Write *data* to *path* via fsync'd temp file + atomic rename.
-
-    A crash at any point leaves either the old file or the new one —
-    never a torn hybrid, and never a zero-length stub. The containing
-    directory is fsync'd too, so the rename itself survives power loss.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".campaign-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write *text* to *path* via fsync'd temp file + atomic rename."""
-    write_atomic_bytes(path, text.encode("utf-8"))
-
-
-def _record_line(record: Dict[str, object]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def load_journal(path: str) -> Tuple[List[Dict[str, object]], int]:
-    """Parse a journal, tolerating a crash-torn *tail* record only.
-
-    Returns ``(records, discarded)``. A crash while appending can tear at
-    most the final line, so an unparseable or incomplete **last** line is
-    an expected artifact: it is counted in *discarded* (and the
-    configuration simply re-evaluated). An invalid line anywhere
-    **before** the last one cannot be produced by a crash — it means the
-    journal itself is damaged (truncated editor save, disk corruption,
-    concurrent writer) and silently re-evaluating would mask data loss,
-    so it raises :class:`~repro.errors.CampaignError` naming the bad
-    line numbers.
-    """
-    records: List[Dict[str, object]] = []
-    bad_lines: List[Tuple[int, str]] = []
-    last_content_line = 0
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
-    for number, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        last_content_line = number
-        try:
-            record = json.loads(line)
-        except ValueError:
-            bad_lines.append((number, "unparseable JSON"))
-            continue
-        if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION \
-                or "key" not in record or "status" not in record:
-            bad_lines.append((number, "not a journal record"))
-            continue
-        records.append(record)
-    mid_file = [(n, why) for n, why in bad_lines if n != last_content_line]
-    if mid_file:
-        where = ", ".join(f"line {n}: {why}" for n, why in mid_file)
-        raise CampaignError(
-            f"journal {path!r} is damaged mid-file ({where}); a crash can "
-            f"only tear the final record, so this is journal corruption, "
-            f"not a crash artifact — repair or remove the journal before "
-            f"resuming")
-    return records, len(bad_lines)
 
 
 # -- structured outcomes -----------------------------------------------------------
@@ -262,9 +181,6 @@ class CampaignResult:
             "resumed": self.resumed,
             "discarded_records": self.discarded_records,
         }
-
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
 
 
 # -- record <-> result conversion --------------------------------------------------
@@ -369,10 +285,9 @@ def evaluate_guarded(evaluator: Evaluator,
 
     Returns the journal record (``status`` ``ok`` or ``failed``) and never
     raises for the failure classes a campaign contains
-    (:class:`~repro.errors.ReproError`). This is the unit of work shared
-    by the sequential :class:`CampaignRunner` and the process-pool workers
-    of :class:`~repro.dse.parallel.ParallelCampaignRunner` — each worker
-    enforces the cycle budget locally, exactly like the sequential path.
+    (:class:`~repro.errors.ReproError`). This is the unit of work of every
+    campaign, in the parent or in a pool worker — each worker enforces
+    the cycle budget locally, exactly like the sequential path.
     """
     budget = policy.cycle_budget
     retries = 0
@@ -405,7 +320,28 @@ def evaluate_guarded(evaluator: Evaluator,
         return result_to_record(result, config)
 
 
-class CampaignRunner:
+def _campaign_context(evaluator_factory, policy: CampaignPolicy):
+    """Per-process campaign context: one evaluator, built once."""
+    return evaluator_factory(), policy
+
+
+def _evaluate(context, config: ArchitectureConfiguration
+              ) -> Dict[str, object]:
+    """The campaign's measure: one guarded evaluation -> one record."""
+    evaluator, policy = context
+    registry = get_registry()
+    t0 = registry.time() if registry.enabled else 0.0
+    record = evaluate_guarded(evaluator, config, policy)
+    if registry.enabled:
+        registry.histogram(
+            "dse_evaluation_seconds",
+            "wall-clock latency per in-process evaluation",
+            ("status",)
+        ).observe(registry.time() - t0, status=record["status"])
+    return record
+
+
+class CampaignRunner(SweepEngine):
     """Journal-backed, fault-isolating wrapper around an evaluator.
 
     Duck-type compatible with :class:`Evaluator` (``evaluate(config)``),
@@ -415,36 +351,24 @@ class CampaignRunner:
     treat as a dead end, not a crash).
     """
 
+    resumed_metric = ("dse_resumed_total",
+                      "evaluations replayed from a journal")
+
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
                  policy: Optional[CampaignPolicy] = None):
+        self._setup(evaluator, policy, journal_path=journal_path,
+                    resume=resume)
+
+    def _setup(self, evaluator: Evaluator,
+               policy: Optional[CampaignPolicy],
+               evaluator_factory=None, **engine) -> None:
         self.evaluator = evaluator
-        self.journal_path = journal_path
         self.policy = policy or CampaignPolicy()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    # Compact away the torn tail so the journal is clean
-                    # before new records are appended after it.
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"campaign (resume=True / --resume) or remove the file")
+        super().__init__(_evaluate, _campaign_context,
+                         (evaluator_factory, self.policy), **engine)
+        self._context = (evaluator, self.policy)
 
     # -- evaluator-compatible surface ---------------------------------------------
 
@@ -458,18 +382,12 @@ class CampaignRunner:
         *max_cycles* overrides the policy's cycle budget for this call.
         """
         key = config_key(config)
-        record = self._records.get(key)
+        record = self.recorded(key)
         if record is None:
-            record = self._evaluate_fresh(config, key,
-                                          max_cycles=max_cycles)
-        elif key in self._replayed_keys:
-            self._replayed_keys.discard(key)
-            self.resumed += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "dse_resumed_total",
-                    "evaluations replayed from a journal").inc()
+            policy = self.policy if max_cycles is None else \
+                dataclasses.replace(self.policy, cycle_budget=max_cycles)
+            record = self.persist(
+                key, _evaluate((self.evaluator, policy), config))
         if record["status"] == "ok":
             return result_from_record(record)
         raise EvaluationFailureError(record["message"],
@@ -488,12 +406,7 @@ class CampaignRunner:
                 or "status" not in record:
             raise CampaignError(
                 f"refusing to seed a malformed record for key {key!r}")
-        self._records[key] = record
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+        self._append(key, record)
 
     def failure_reason(self, config: ArchitectureConfiguration
                        ) -> Optional[str]:
@@ -526,29 +439,25 @@ class CampaignRunner:
     def evaluate_batch(self, configs: Sequence[ArchitectureConfiguration]
                        ) -> List[Optional[EvaluationResult]]:
         """Aligned results for *configs*; ``None`` marks a failure."""
-        self.run(configs)
-        out: List[Optional[EvaluationResult]] = []
-        for config in configs:
-            record = self._records[config_key(config)]
-            out.append(result_from_record(record)
-                       if record["status"] == "ok" else None)
-        return out
+        return [result_from_record(record) if record["status"] == "ok"
+                else None for record in self.run(configs).records]
 
     # -- sweep driver -------------------------------------------------------------
 
     def run(self, configs: Sequence[ArchitectureConfiguration]
             ) -> CampaignResult:
-        """Sweep *configs* in order; never raises on a bad configuration."""
-        ordered: List[Dict[str, object]] = []
+        """Sweep *configs*; never raises on a bad configuration. Records
+        come back in input order whatever the job count."""
+        records = self.sweep([(config_key(config), config)
+                              for config in configs])
         results: List[EvaluationResult] = []
         failures: List[EvaluationFailure] = []
-        for config in configs:
-            try:
-                results.append(self.evaluate(config))
-            except EvaluationFailureError as exc:
-                failures.append(exc.failure)
-            ordered.append(self._records[config_key(config)])
-        return CampaignResult(records=ordered, results=results,
+        for record in records:
+            if record["status"] == "ok":
+                results.append(result_from_record(record))
+            else:
+                failures.append(failure_from_record(record))
+        return CampaignResult(records=records, results=results,
                               failures=failures, resumed=self.resumed,
                               discarded_records=self.discarded_records)
 
@@ -566,40 +475,15 @@ class CampaignRunner:
                 counts[kind] = counts.get(kind, 0) + count
         return counts
 
-    # -- internals ----------------------------------------------------------------
+    # -- sweep hooks --------------------------------------------------------------
 
-    def _evaluate_fresh(self, config: ArchitectureConfiguration,
-                        key: str,
-                        max_cycles: Optional[int] = None
-                        ) -> Dict[str, object]:
-        policy = self.policy if max_cycles is None else \
-            dataclasses.replace(self.policy, cycle_budget=max_cycles)
-        registry = get_registry()
-        t0 = registry.time() if registry.enabled else 0.0
-        record = evaluate_guarded(self.evaluator, config, policy)
-        if registry.enabled:
-            registry.histogram(
-                "dse_evaluation_seconds",
-                "wall-clock latency per in-process evaluation",
-                ("status",)
-            ).observe(registry.time() - t0, status=record["status"])
-        return self._persist(key, record)
+    def _failed(self, config: ArchitectureConfiguration, error: str,
+                message: str) -> Dict[str, object]:
+        return failure_to_record(EvaluationFailure(
+            config=config, error=error, message=message))
 
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
-        """Status/retry/quarantine counters for one fresh record; shared
-        by the sequential path and the parallel runner's pool results."""
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Status/retry/quarantine counters for one fresh record."""
         registry = get_registry()
         if not registry.enabled:
             return
@@ -618,6 +502,35 @@ class CampaignRunner:
                 "dse_quarantined_total",
                 "configurations quarantined after contained failures"
             ).inc()
+
+
+class ParallelCampaignRunner(CampaignRunner):
+    """A :class:`CampaignRunner` whose sweeps fan out over a process pool.
+
+    Takes an *evaluator factory* rather than an evaluator so each worker
+    (and the parent, for single ``evaluate`` calls) can build its own
+    instance; the factory must be picklable — a top-level callable or a
+    ``functools.partial`` over one. With ``jobs=1`` no pool is created.
+
+    Satisfies both the :class:`~repro.dse.protocols.Evaluator` and
+    :class:`~repro.dse.protocols.BatchEvaluator` protocols, so explorers
+    running on top of it expand whole search frontiers concurrently.
+    """
+
+    def __init__(self, evaluator_factory,
+                 jobs: int = 2,
+                 journal_path: Optional[str] = None,
+                 resume: bool = False,
+                 policy: Optional[CampaignPolicy] = None,
+                 chunk_size: Optional[int] = None):
+        if not callable(evaluator_factory):
+            raise CampaignError(
+                "evaluator_factory must be a callable returning an "
+                "evaluator (it is invoked once per worker process)")
+        self.evaluator_factory = evaluator_factory
+        self._setup(evaluator_factory(), policy, evaluator_factory,
+                    jobs=jobs, chunk_size=chunk_size,
+                    journal_path=journal_path, resume=resume)
 
 
 class PoisonedEvaluator:

@@ -213,8 +213,3 @@ class ArchitectureEvaluator:
             latency = next_latency
         assert run is not None
         return run, config.with_cam_latency(latency)
-
-
-#: Backwards-compatible name — the concrete class predates the formal
-#: :class:`repro.dse.protocols.Evaluator` protocol it now satisfies.
-Evaluator = ArchitectureEvaluator

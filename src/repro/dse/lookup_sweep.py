@@ -19,38 +19,28 @@ feasible sizes (``table1 --prefixes``); it cannot execute a sequential
 scan over 10⁶ entries per datagram, which is exactly the regime this
 sweep is for.
 
-Campaign semantics match every other sweep in :mod:`repro.dse`: cells
-journal to the same fsync'd JSONL format (:func:`load_journal` parses it
-unchanged), a killed sweep resumes without repeating a measurement,
-``--jobs N`` fans cells out over a process pool, and sequential /
-parallel / resumed runs render and serialise byte-identically. Worker
-processes never touch the metrics registry; the parent publishes each
-cell's routing counters at persist time from the record itself, so the
-observability story is also identical across execution modes.
+Campaign semantics are every other sweep's, from the shared
+:class:`~repro.dse.sweep.SweepEngine`: cells journal to the same
+fsync'd JSONL format, a killed sweep resumes without repeating a
+measurement, ``--jobs N`` fans cells out over a process pool (a cell
+that kills its worker is journalled ``failed``), and sequential /
+parallel / resumed runs render and serialise byte-identically.
+Measurements never touch the metrics registry; the parent publishes
+each cell's routing counters at persist time from the record itself,
+so the observability story is also identical across execution modes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
-from repro.dse.campaign import (
-    JOURNAL_VERSION,
-    _record_line,
-    load_journal,
-    write_atomic,
-)
 from repro.dse.config import (
     ALL_TABLE_KINDS,
     ArchitectureConfiguration,
 )
-from repro.dse.parallel import default_start_method
+from repro.dse.sweep import JOURNAL_VERSION, SweepEngine
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import LookupEstimate, estimate_lookup_point
 from repro.obs import get_registry
@@ -88,6 +78,22 @@ class LookupCell:
             "lookups": self.lookups,
             "seed": self.seed,
         }, sort_keys=True, separators=(",", ":"))
+
+    def describe(self) -> str:
+        return f"{self.kind} at {self.prefix_count:,} prefixes"
+
+    def record(self, status: str, **fields: object) -> Dict[str, object]:
+        """This cell's journal record with *status* and *fields*."""
+        return {
+            "v": JOURNAL_VERSION,
+            "key": self.key,
+            "kind": self.kind,
+            "prefix_count": self.prefix_count,
+            "lookups": self.lookups,
+            "seed": self.seed,
+            "status": status,
+            **fields,
+        }
 
     def config(self) -> ArchitectureConfiguration:
         return ArchitectureConfiguration(
@@ -131,14 +137,6 @@ def measure_cell(cell: LookupCell) -> Dict[str, object]:
     parallel sweeps account identically (pool workers could not publish
     into the parent's registry anyway).
     """
-    base: Dict[str, object] = {
-        "v": JOURNAL_VERSION,
-        "key": cell.key,
-        "kind": cell.kind,
-        "prefix_count": cell.prefix_count,
-        "lookups": cell.lookups,
-        "seed": cell.seed,
-    }
     registry = get_registry()
     was_enabled = registry.enabled
     registry.disable()
@@ -150,31 +148,23 @@ def measure_cell(cell: LookupCell) -> Dict[str, object]:
                                    seed=cell.seed + 7919)
         results = table.lookup_batch(addresses)
         stats = table.stats
-        base["status"] = "ok"
-        base["route_count"] = len(routes)
-        base["mean_lookup_steps"] = \
-            stats.total_lookup_steps / cell.lookups
-        base["hit_rate"] = sum(r is not None for r in results) \
-            / cell.lookups
-        base["table_memory_bytes"] = table.table_memory_bytes()
-        base["update_steps"] = stats.total_update_steps
+        return cell.record(
+            "ok",
+            route_count=len(routes),
+            mean_lookup_steps=stats.total_lookup_steps / cell.lookups,
+            hit_rate=sum(r is not None for r in results) / cell.lookups,
+            table_memory_bytes=table.table_memory_bytes(),
+            update_steps=stats.total_update_steps)
     except ReproError as exc:
-        base["status"] = "failed"
-        base["error"] = type(exc).__name__
-        base["message"] = str(exc)
+        return cell.record("failed", error=type(exc).__name__,
+                           message=str(exc))
     finally:
         if was_enabled:
             registry.enable()
-    return base
 
 
-def measure_chunk(payloads: List[Dict[str, object]]
-                  ) -> List[Dict[str, object]]:
-    """Measure a chunk of cell payloads in a pool worker."""
-    return [measure_cell(LookupCell(
-        kind=payload["kind"], prefix_count=payload["prefix_count"],
-        lookups=payload["lookups"], seed=payload["seed"]))
-        for payload in payloads]
+def _measure(_context: None, cell: LookupCell) -> Dict[str, object]:
+    return measure_cell(cell)
 
 
 def estimate_from_record(record: Dict[str, object]) -> LookupEstimate:
@@ -267,15 +257,20 @@ class LookupSweepResult:
             "cells": cells,
         }
 
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
-
 
 # -- the runner --------------------------------------------------------------------
 
 
-class LookupSweepRunner:
-    """Journal-backed, optionally parallel scaling-sweep driver."""
+class LookupSweepRunner(SweepEngine):
+    """Journal-backed, optionally parallel scaling-sweep driver.
+
+    *chunk_size* defaults to one cell per chunk: cells differ in cost by
+    orders of magnitude (10² vs 10⁶ prefixes), so fine-grained
+    scheduling beats amortisation here.
+    """
+
+    resumed_metric = ("lookup_sweep_resumed_total",
+                      "sweep cells replayed from a journal")
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -285,138 +280,33 @@ class LookupSweepRunner:
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
+                 chunk_size: Optional[int] = None):
         self.kinds = tuple(kinds) if kinds is not None else ALL_TABLE_KINDS
         self.prefix_counts = tuple(sorted(prefix_counts)) \
             if prefix_counts is not None else DEFAULT_PREFIX_COUNTS
         self.lookups = lookups
         self.seed = seed
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
-
-    # -- sweep driver -------------------------------------------------------------
+        super().__init__(
+            _measure, jobs=jobs,
+            chunk_size=1 if chunk_size is None else chunk_size,
+            journal_path=journal_path, resume=resume)
 
     def run(self) -> LookupSweepResult:
         """Measure every planned cell; never raises for a cell whose
         structure rejects the workload (recorded ``failed``)."""
-        registry = get_registry()
         plan = plan_cells(self.kinds, self.prefix_counts,
                           self.lookups, self.seed)
-        pending: List[LookupCell] = []
-        for cell in plan:
-            key = cell.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "lookup_sweep_resumed_total",
-                            "sweep cells replayed from a journal").inc()
-            else:
-                pending.append(cell)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for cell in pending:
-            if cell.key not in self._records:
-                self._persist(cell.key, measure_cell(cell))
-        ordered = [self._records[cell.key] for cell in plan]
+        ordered = self.sweep([(cell.key, cell) for cell in plan])
         return LookupSweepResult(
             records=ordered, kinds=self.kinds,
             prefix_counts=self.prefix_counts, lookups=self.lookups,
             seed=self.seed, resumed=self.resumed,
             discarded_records=self.discarded_records)
 
-    # -- internals ----------------------------------------------------------------
-
-    def _run_pool(self, pending: List[LookupCell]) -> List[LookupCell]:
-        """Fan *pending* out over a process pool; returns the cells the
-        pool never finished (measured in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "kind": cell.kind,
-                    "prefix_count": cell.prefix_count,
-                    "lookups": cell.lookups,
-                    "seed": cell.seed,
-                } for cell in chunk]
-                futures.append((pool.submit(measure_chunk, payloads),
-                                chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller measures what's left
-                    # in-process — slower, never wrong
-                    break
-                for cell, record in zip(chunk, records):
-                    self._persist(cell.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [cell for cell in pending
-                if cell.key not in self._records]
-
-    def _chunked(self, pending: Sequence[LookupCell]
-                 ) -> List[List[LookupCell]]:
-        size = self.chunk_size
-        if size is None:
-            # One cell per chunk by default: cells differ in cost by
-            # orders of magnitude (10² vs 10⁶ prefixes), so fine-grained
-            # scheduling beats amortisation here.
-            size = 1
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
-        """Routing/cell counters for one fresh record.
-
-        Published in the parent only — the measurement itself runs with
-        the registry disabled — so sequential and parallel sweeps
-        account identically and a resumed cell is never double-counted.
-        """
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Routing/cell counters for one fresh record — the measurement
+        itself runs with the registry disabled, so a resumed cell is
+        never double-counted."""
         registry = get_registry()
         if not registry.enabled:
             return

@@ -9,7 +9,7 @@ duck type is now written down:
   Satisfied by :class:`~repro.dse.evaluator.ArchitectureEvaluator`,
   :class:`~repro.dse.campaign.CampaignRunner`,
   :class:`~repro.dse.campaign.PoisonedEvaluator`, the
-  :class:`~repro.dse.parallel.ParallelCampaignRunner`, and any test stub
+  :class:`~repro.dse.campaign.ParallelCampaignRunner`, and any test stub
   with the right method.
 * :class:`BatchEvaluator` — an evaluator that can additionally evaluate a
   *batch* of configurations at once (typically concurrently). Explorers

@@ -10,15 +10,15 @@ coverage, mean faults-to-failure.
 Everything hard-won by the performance campaigns is reused, not
 reinvented:
 
-* **journal + resume** — every classified trial is appended to the same
-  fsync'd JSONL journal format (:func:`~repro.dse.campaign.load_journal`
-  parses it unchanged), so a killed sweep resumes without repeating a
-  single simulation and its final ``--output`` JSON is byte-identical;
-* **parallelism** — trials fan out over a process pool; each worker
-  keeps a per-process oracle cache so the golden reference for a
-  configuration is simulated once per worker, not once per trial. A
-  broken pool degrades to in-parent evaluation of the remaining trials
-  instead of aborting the sweep;
+* **journal, resume and parallelism** — the shared
+  :class:`~repro.dse.sweep.SweepEngine`: every classified trial is
+  journalled (fsync'd JSONL), so a killed sweep resumes without
+  repeating a single simulation and its final ``--output`` JSON is
+  byte-identical; trials fan out over a process pool whose workers keep
+  a per-process oracle cache, so the golden reference for a
+  configuration is simulated once per worker, not once per trial; a
+  trial that kills its worker is journalled ``failed``
+  (:class:`~repro.errors.WorkerCrashError`) and the sweep goes on;
 * **determinism** — trial seeds derive from
   :func:`~repro.faults.seeds.derive_seed`\\ ``(seed, config_key, site,
   index)``, so results do not depend on job count, completion order, or
@@ -31,25 +31,12 @@ reinvented:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
-from repro.dse.campaign import (
-    JOURNAL_VERSION,
-    _record_line,
-    config_from_dict,
-    config_key,
-    config_to_dict,
-    load_journal,
-    write_atomic,
-)
+from repro.dse.campaign import config_key, config_to_dict
 from repro.dse.config import ArchitectureConfiguration
-from repro.dse.parallel import default_start_method
+from repro.dse.sweep import JOURNAL_VERSION, SweepEngine
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import estimate_protection_overhead
 from repro.faults.datapath import FAULT_SITES
@@ -102,6 +89,25 @@ class SdcTrial:
             "max_faults": self.max_faults,
         }, sort_keys=True, separators=(",", ":"))
 
+    def describe(self) -> str:
+        return (f"{self.site} trial {self.index} on "
+                f"{self.config.describe()}")
+
+    def record(self, status: str, **fields: object) -> Dict[str, object]:
+        """This trial's journal record with *status* and *fields*."""
+        return {
+            "v": JOURNAL_VERSION,
+            "key": self.key,
+            "config": config_to_dict(self.config),
+            "site": self.site,
+            "trial": self.index,
+            "seed": self.seed,
+            "rate": self.rate,
+            "max_faults": self.max_faults,
+            "status": status,
+            **fields,
+        }
+
 
 def plan_trials(configs: Sequence[ArchitectureConfiguration],
                 sites: Sequence[str], trials: int, rate: float,
@@ -122,85 +128,56 @@ def plan_trials(configs: Sequence[ArchitectureConfiguration],
     return plan
 
 
-def _classify_trial(oracle: DifferentialOracle,
+class _SdcContext:
+    """Per-process datapath-sweep state: the workload and one oracle
+    per configuration, so a configuration's golden reference is
+    simulated once per process, not once per trial."""
+
+    def __init__(self, routes, packets, max_cycles: Optional[int],
+                 backend: Optional[str]):
+        self.workload = (routes, packets)
+        self.max_cycles = max_cycles
+        self.backend = backend
+        self.oracles: Dict[str, DifferentialOracle] = {}
+
+    def oracle(self, config: ArchitectureConfiguration
+               ) -> DifferentialOracle:
+        key = config_key(config)
+        oracle = self.oracles.get(key)
+        if oracle is None:
+            oracle = DifferentialOracle(config, *self.workload,
+                                        max_cycles=self.max_cycles,
+                                        backend=self.backend)
+            self.oracles[key] = oracle
+        return oracle
+
+
+def _classify_trial(context: _SdcContext,
                     trial: SdcTrial) -> Dict[str, object]:
     """One trial -> one journal record (never raises for ReproError)."""
-    base: Dict[str, object] = {
-        "v": JOURNAL_VERSION,
-        "key": trial.key,
-        "config": config_to_dict(trial.config),
-        "site": trial.site,
-        "trial": trial.index,
-        "seed": trial.seed,
-        "rate": trial.rate,
-        "max_faults": trial.max_faults,
-    }
+    oracle = context.oracle(trial.config)
     try:
         outcome = oracle.classify(
             seed=trial.seed, rate=trial.rate, sites=(trial.site,),
             max_faults=trial.max_faults)
     except ReproError as exc:
-        base["status"] = "failed"
-        base["error"] = type(exc).__name__
-        base["message"] = str(exc)
-        return base
-    base["status"] = "ok"
-    base["outcome"] = outcome.to_dict()
-    return base
-
-
-# -- worker side -------------------------------------------------------------------
-
-_worker_workload: Optional[Tuple[list, list, Optional[int],
-                                 Optional[str]]] = None
-_worker_oracles: Dict[str, DifferentialOracle] = {}
-
-
-def _init_sdc_worker(routes, packets, max_cycles,
-                     backend: Optional[str] = None) -> None:
-    global _worker_workload
-    _worker_workload = (routes, packets, max_cycles, backend)
-    _worker_oracles.clear()
-
-
-def _classify_chunk(payloads: List[Dict[str, object]]
-                    ) -> List[Dict[str, object]]:
-    """Classify a chunk of trial payloads in a pool worker.
-
-    The per-process oracle cache means one golden simulation per
-    configuration per worker, amortised over every trial in its chunks.
-    """
-    routes, packets, max_cycles, backend = _worker_workload
-    records = []
-    for payload in payloads:
-        config = ArchitectureConfiguration(**payload["config"])
-        trial = SdcTrial(
-            config=config, site=payload["site"], index=payload["trial"],
-            seed=payload["seed"], rate=payload["rate"],
-            max_faults=payload["max_faults"])
-        cache_key = config_key(config)
-        oracle = _worker_oracles.get(cache_key)
-        if oracle is None:
-            oracle = DifferentialOracle(config, routes, packets,
-                                        max_cycles=max_cycles,
-                                        backend=backend)
-            _worker_oracles[cache_key] = oracle
-        records.append(_classify_trial(oracle, trial))
-    return records
+        return trial.record("failed", error=type(exc).__name__,
+                            message=str(exc))
+    return trial.record("ok", outcome=outcome.to_dict())
 
 
 # -- results -----------------------------------------------------------------------
 
 
-def vulnerability_row(config: ArchitectureConfiguration,
-                      records: Sequence[Dict[str, object]]
-                      ) -> Dict[str, object]:
-    """Distil one configuration's trial records into its table row."""
+def _tally(records: Sequence[Dict[str, object]], sites: Sequence[str]
+           ) -> Tuple[Dict[str, object], List[Tuple[str, int]]]:
+    """The row fields both SDC sweeps share, tallied from one cell's
+    trial records (``by_site`` in *sites* order), plus each classified
+    trial's ``(outcome, faults injected)``."""
     counts = {outcome: 0 for outcome in OUTCOMES}
     by_site: Dict[str, Dict[str, int]] = {}
     failed = 0
-    faults_total = 0
-    failure_faults: List[int] = []
+    faults: List[Tuple[str, int]] = []
     for record in records:
         if record["status"] != "ok":
             failed += 1
@@ -208,32 +185,46 @@ def vulnerability_row(config: ArchitectureConfiguration,
         outcome = record["outcome"]
         klass = outcome["outcome"]
         counts[klass] += 1
-        faults = outcome["faults_injected"]
-        faults_total += faults
-        site = record["site"]
-        site_counts = by_site.setdefault(
-            site, {o: 0 for o in OUTCOMES})
-        site_counts[klass] += 1
-        if klass != "masked":
-            failure_faults.append(faults)
+        by_site.setdefault(record["site"],
+                           {o: 0 for o in OUTCOMES})[klass] += 1
+        faults.append((klass, outcome["faults_injected"]))
     ok = sum(counts.values())
     not_masked = ok - counts["masked"]
     caught = counts["detected"] + counts["crash"] + counts["hang"]
     return {
-        "table": config.table_kind,
-        "config": config.label(),
         "trials": ok,
         "failed": failed,
-        "outcomes": dict(counts),
-        "by_site": {site: dict(site_counts)
-                    for site, site_counts in sorted(by_site.items())},
-        "faults_injected": faults_total,
+        "outcomes": counts,
+        "by_site": {site: by_site[site] for site in sites
+                    if site in by_site},
         "sdc_rate": counts["sdc"] / ok if ok else None,
         "detection_coverage": caught / not_masked if not_masked else None,
+    }, faults
+
+
+def vulnerability_row(config: ArchitectureConfiguration,
+                      records: Sequence[Dict[str, object]]
+                      ) -> Dict[str, object]:
+    """Distil one configuration's trial records into its table row."""
+    row, faults = _tally(records, sorted({r["site"] for r in records}))
+    failure_faults = [n for klass, n in faults if klass != "masked"]
+    return {
+        "table": config.table_kind,
+        "config": config.label(),
+        **row,
+        "faults_injected": sum(n for _, n in faults),
         "mean_faults_to_failure":
             sum(failure_faults) / len(failure_faults)
             if failure_faults else None,
     }
+
+
+def _outcome_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, int]:
+    totals = {outcome: 0 for outcome in OUTCOMES}
+    for row in rows:
+        for outcome, count in row["outcomes"].items():
+            totals[outcome] += count
+    return totals
 
 
 @dataclass
@@ -251,11 +242,7 @@ class SdcSweepResult:
 
     @property
     def outcome_totals(self) -> Dict[str, int]:
-        totals = {outcome: 0 for outcome in OUTCOMES}
-        for row in self.rows:
-            for outcome, count in row["outcomes"].items():
-                totals[outcome] += count
-        return totals
+        return _outcome_totals(self.rows)
 
     def render(self) -> str:
         """Deterministic text artifact — byte-identical whether the
@@ -278,14 +265,32 @@ class SdcSweepResult:
             "records": list(self.records),
         }
 
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
-
 
 # -- the runner --------------------------------------------------------------------
 
 
-class SdcSweepRunner:
+def _publish_trial(record: Dict[str, object]) -> Optional[Dict[str, object]]:
+    """Trial and outcome counters for one fresh trial record of either
+    SDC sweep; returns the outcome still to account for (``None`` when
+    the trial failed or metrics are off)."""
+    registry = get_registry()
+    if not registry.enabled:
+        return None
+    registry.counter(
+        "sdc_trials_total",
+        "classified injection trials by status", ("status",)
+    ).inc(status=record["status"])
+    if record["status"] != "ok":
+        return None
+    outcome = record["outcome"]
+    registry.counter(
+        "sdc_outcomes_total",
+        "injection trials by oracle classification", ("outcome",)
+    ).inc(outcome=outcome["outcome"])
+    return outcome
+
+
+class SdcSweepRunner(SweepEngine):
     """Journal-backed, optionally parallel SDC-sweep driver.
 
     *routes*/*packets* default to the same deterministic workload the
@@ -293,6 +298,9 @@ class SdcSweepRunner:
     ``worst_case_workload``), so vulnerability numbers are measured on
     exactly the workload the performance numbers were.
     """
+
+    resumed_metric = ("sdc_resumed_total",
+                      "injection trials replayed from a journal")
 
     def __init__(self,
                  routes: Optional[Sequence[RouteEntry]] = None,
@@ -309,10 +317,7 @@ class SdcSweepRunner:
                  journal_path: Optional[str] = None,
                  resume: bool = False,
                  chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  backend: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
         if trials < 1:
             raise CampaignError(f"trials must be >= 1, got {trials}")
         chosen = tuple(sites) if sites is not None else FAULT_SITES
@@ -333,32 +338,11 @@ class SdcSweepRunner:
         self.max_cycles = max_cycles
         #: simulation engine, inherited by every pool worker
         self.backend = backend
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        self._oracles: Dict[str, DifferentialOracle] = {}
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
+        super().__init__(
+            _classify_trial, _SdcContext,
+            (self.routes, self.packets, max_cycles, backend),
+            jobs=jobs, chunk_size=chunk_size, journal_path=journal_path,
+            resume=resume)
 
     # -- sweep driver -------------------------------------------------------------
 
@@ -367,31 +351,9 @@ class SdcSweepRunner:
         """Sweep every ``config x site x trial``; never raises for a
         configuration whose golden run fails (those trials are recorded
         ``failed`` and excluded from the rates)."""
-        registry = get_registry()
         plan = plan_trials(configs, self.sites, self.trials, self.rate,
                            self.seed, self.max_faults)
-        pending: List[SdcTrial] = []
-        for trial in plan:
-            key = trial.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "sdc_resumed_total",
-                            "injection trials replayed from a journal"
-                        ).inc()
-            else:
-                pending.append(trial)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for trial in pending:
-            if trial.key not in self._records:
-                self._persist(trial.key, _classify_trial(
-                    self._oracle(trial.config), trial))
-
-        ordered = [self._records[trial.key] for trial in plan]
+        ordered = self.sweep([(trial.key, trial) for trial in plan])
         rows = []
         offset = 0
         per_config = len(self.sites) * self.trials
@@ -405,95 +367,12 @@ class SdcSweepRunner:
             resumed=self.resumed,
             discarded_records=self.discarded_records)
 
-    # -- internals ----------------------------------------------------------------
-
-    def _oracle(self, config: ArchitectureConfiguration
-                ) -> DifferentialOracle:
-        key = config_key(config)
-        oracle = self._oracles.get(key)
-        if oracle is None:
-            oracle = DifferentialOracle(config, self.routes, self.packets,
-                                        max_cycles=self.max_cycles,
-                                        backend=self.backend)
-            self._oracles[key] = oracle
-        return oracle
-
-    def _run_pool(self, pending: List[SdcTrial]) -> List[SdcTrial]:
-        """Fan *pending* out over a process pool; returns the trials the
-        pool never finished (evaluated in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_sdc_worker,
-            initargs=(self.routes, self.packets, self.max_cycles,
-                      self.backend))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "config": config_to_dict(trial.config),
-                    "site": trial.site, "trial": trial.index,
-                    "seed": trial.seed, "rate": trial.rate,
-                    "max_faults": trial.max_faults,
-                } for trial in chunk]
-                futures.append((pool.submit(_classify_chunk, payloads),
-                                chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller classifies what's left
-                    # in-process — slower, never wrong
-                    break
-                for trial, record in zip(chunk, records):
-                    self._persist(trial.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [trial for trial in pending
-                if trial.key not in self._records]
-
-    def _chunked(self, pending: Sequence[SdcTrial]) -> List[List[SdcTrial]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, len(pending) // (self.jobs * 4))
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
-        """Injection/outcome counters for one fresh trial record.
-
-        Published in the parent only — pool workers never touch the
-        registry — so sequential and parallel sweeps account
-        identically and a resumed trial is never double-counted.
-        """
-        registry = get_registry()
-        if not registry.enabled:
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Injection/outcome counters for one fresh trial record."""
+        outcome = _publish_trial(record)
+        if outcome is None:
             return
-        registry.counter(
-            "sdc_trials_total",
-            "classified injection trials by status", ("status",)
-        ).inc(status=record["status"])
-        if record["status"] != "ok":
-            return
-        outcome = record["outcome"]
-        registry.counter(
-            "sdc_outcomes_total",
-            "injection trials by oracle classification", ("outcome",)
-        ).inc(outcome=outcome["outcome"])
-        injections = registry.counter(
+        injections = get_registry().counter(
             "sdc_injections_total",
             "datapath faults actually applied", ("site",))
         for site, count in sorted(outcome["faults_by_site"].items()):
@@ -550,6 +429,26 @@ class MemoryTrial:
             "flips": self.flips,
         }, sort_keys=True, separators=(",", ":"))
 
+    def describe(self) -> str:
+        return (f"{self.site} trial {self.index} on the {self.protection}"
+                f"-protected {self.kind} table")
+
+    def record(self, status: str, **fields: object) -> Dict[str, object]:
+        """This trial's journal record with *status* and *fields*."""
+        return {
+            "v": JOURNAL_VERSION,
+            "key": self.key,
+            "mode": "memory",
+            "kind": self.kind,
+            "protection": self.protection,
+            "site": self.site,
+            "trial": self.index,
+            "seed": self.seed,
+            "flips": self.flips,
+            "status": status,
+            **fields,
+        }
+
 
 def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
                        trials: int, flips: int,
@@ -571,78 +470,40 @@ def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
     return plan
 
 
-def _classify_memory_trial(oracle: MemoryDifferentialOracle,
+class _MemoryContext:
+    """Per-process memory-sweep state: the FIB and its traffic,
+    synthesized once from the scalar parameters (cheaper to ship than
+    ~N route objects), and one oracle per ``(kind, protection)`` cell."""
+
+    def __init__(self, prefixes: int, fib_seed: int, lookups: int,
+                 traffic_seed: int):
+        self.routes = synthesize_fib(prefixes, seed=fib_seed)
+        self.addresses = zipf_addresses(self.routes, lookups,
+                                        seed=traffic_seed)
+        self.oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
+
+    def oracle(self, kind: str,
+               protection: str) -> MemoryDifferentialOracle:
+        cell = (kind, protection)
+        oracle = self.oracles.get(cell)
+        if oracle is None:
+            oracle = MemoryDifferentialOracle(
+                kind, protection, self.routes, self.addresses)
+            self.oracles[cell] = oracle
+        return oracle
+
+
+def _classify_memory_trial(context: _MemoryContext,
                            trial: MemoryTrial) -> Dict[str, object]:
     """One trial -> one journal record (never raises for ReproError)."""
-    base: Dict[str, object] = {
-        "v": JOURNAL_VERSION,
-        "key": trial.key,
-        "mode": "memory",
-        "kind": trial.kind,
-        "protection": trial.protection,
-        "site": trial.site,
-        "trial": trial.index,
-        "seed": trial.seed,
-        "flips": trial.flips,
-    }
+    oracle = context.oracle(trial.kind, trial.protection)
     try:
         outcome = oracle.classify(seed=trial.seed, site=trial.site,
                                   flips=trial.flips)
     except ReproError as exc:
-        base["status"] = "failed"
-        base["error"] = type(exc).__name__
-        base["message"] = str(exc)
-        return base
-    base["status"] = "ok"
-    base["outcome"] = outcome.to_dict()
-    return base
-
-
-# -- worker side -------------------------------------------------------------------
-
-_memory_worker_workload: Optional[Tuple[int, int, int, int]] = None
-_memory_worker_oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
-
-
-def _init_memory_worker(prefixes: int, fib_seed: int, lookups: int,
-                        traffic_seed: int) -> None:
-    # Workers re-synthesize the FIB deterministically from the scalar
-    # parameters instead of shipping ~N route objects per process.
-    global _memory_worker_workload
-    _memory_worker_workload = (prefixes, fib_seed, lookups, traffic_seed)
-    _memory_worker_oracles.clear()
-
-
-def _memory_workload(prefixes: int, fib_seed: int, lookups: int,
-                     traffic_seed: int):
-    routes = synthesize_fib(prefixes, seed=fib_seed)
-    addresses = zipf_addresses(routes, lookups, seed=traffic_seed)
-    return routes, addresses
-
-
-def _classify_memory_chunk(payloads: List[Dict[str, object]]
-                           ) -> List[Dict[str, object]]:
-    """Classify a chunk of memory-trial payloads in a pool worker.
-
-    The per-process oracle cache means one clean golden build per
-    (kind, protection) cell per worker."""
-    prefixes, fib_seed, lookups, traffic_seed = _memory_worker_workload
-    routes, addresses = _memory_workload(prefixes, fib_seed, lookups,
-                                         traffic_seed)
-    records = []
-    for payload in payloads:
-        trial = MemoryTrial(
-            kind=payload["kind"], protection=payload["protection"],
-            site=payload["site"], index=payload["trial"],
-            seed=payload["seed"], flips=payload["flips"])
-        cache_key = (trial.kind, trial.protection)
-        oracle = _memory_worker_oracles.get(cache_key)
-        if oracle is None:
-            oracle = MemoryDifferentialOracle(
-                trial.kind, trial.protection, routes, addresses)
-            _memory_worker_oracles[cache_key] = oracle
-        records.append(_classify_memory_trial(oracle, trial))
-    return records
+        return trial.record("failed", error=type(exc).__name__,
+                            message=str(exc))
+    return trial.record("ok", outcome=outcome.to_dict())
 
 
 # -- results -----------------------------------------------------------------------
@@ -653,37 +514,14 @@ def memory_vulnerability_row(kind: str, protection: str,
                              protection_cost: Optional[Dict[str, object]]
                              ) -> Dict[str, object]:
     """Distil one (kind, protection) cell into its table row."""
-    counts = {outcome: 0 for outcome in OUTCOMES}
-    by_site: Dict[str, Dict[str, int]] = {}
-    failed = 0
-    flips_total = 0
-    for record in records:
-        if record["status"] != "ok":
-            failed += 1
-            continue
-        outcome = record["outcome"]
-        klass = outcome["outcome"]
-        counts[klass] += 1
-        flips_total += outcome["faults_injected"]
-        site_counts = by_site.setdefault(
-            record["site"], {o: 0 for o in OUTCOMES})
-        site_counts[klass] += 1
-    ok = sum(counts.values())
-    not_masked = ok - counts["masked"]
-    caught = counts["detected"] + counts["crash"] + counts["hang"]
+    # canonical physical order, not alphabetical, so cross-kind rows
+    # list their sites the way MEMORY_SITES declares them
+    row, faults = _tally(records, MEMORY_SITES)
     return {
         "kind": kind,
         "protection": protection,
-        "trials": ok,
-        "failed": failed,
-        "outcomes": dict(counts),
-        # canonical physical order, not alphabetical, so cross-kind
-        # rows list their sites the way MEMORY_SITES declares them
-        "by_site": {site: dict(by_site[site])
-                    for site in MEMORY_SITES if site in by_site},
-        "flips_injected": flips_total,
-        "sdc_rate": counts["sdc"] / ok if ok else None,
-        "detection_coverage": caught / not_masked if not_masked else None,
+        **row,
+        "flips_injected": sum(n for _, n in faults),
         "protection_cost": protection_cost,
     }
 
@@ -707,11 +545,7 @@ class MemorySweepResult:
 
     @property
     def outcome_totals(self) -> Dict[str, int]:
-        totals = {outcome: 0 for outcome in OUTCOMES}
-        for row in self.rows:
-            for outcome, count in row["outcomes"].items():
-                totals[outcome] += count
-        return totals
+        return _outcome_totals(self.rows)
 
     def render(self) -> str:
         """Deterministic text artifact — byte-identical whether the
@@ -740,15 +574,15 @@ class MemorySweepResult:
             "records": list(self.records),
         }
 
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
-
 
 # -- the runner --------------------------------------------------------------------
 
 
-class MemorySweepRunner:
+class MemorySweepRunner(SweepEngine):
     """Journal-backed, optionally parallel table-state sweep driver."""
+
+    resumed_metric = ("sdc_resumed_total",
+                      "injection trials replayed from a journal")
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -763,10 +597,7 @@ class MemorySweepRunner:
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
+                 chunk_size: Optional[int] = None):
         if trials < 1:
             raise CampaignError(f"trials must be >= 1, got {trials}")
         if prefixes < 1:
@@ -799,63 +630,19 @@ class MemorySweepRunner:
         self.seed = seed
         self.fib_seed = fib_seed
         self.traffic_seed = traffic_seed
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        self._oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
-        self._workload: Optional[tuple] = None
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
+        super().__init__(
+            _classify_memory_trial, _MemoryContext,
+            (prefixes, fib_seed, lookups, traffic_seed),
+            jobs=jobs, chunk_size=chunk_size, journal_path=journal_path,
+            resume=resume)
 
     # -- sweep driver -------------------------------------------------------------
 
     def run(self) -> MemorySweepResult:
         """Sweep every ``kind x protection x site x trial``."""
-        registry = get_registry()
         plan = plan_memory_trials(self.kinds, self.protections,
                                   self.trials, self.flips, self.seed)
-        pending: List[MemoryTrial] = []
-        for trial in plan:
-            key = trial.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "sdc_resumed_total",
-                            "injection trials replayed from a journal"
-                        ).inc()
-            else:
-                pending.append(trial)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for trial in pending:
-            if trial.key not in self._records:
-                self._persist(trial.key, _classify_memory_trial(
-                    self._oracle(trial.kind, trial.protection), trial))
-
-        ordered = [self._records[trial.key] for trial in plan]
+        ordered = self.sweep([(trial.key, trial) for trial in plan])
         rows = []
         offset = 0
         for kind in self.kinds:
@@ -876,108 +663,25 @@ class MemorySweepRunner:
 
     # -- internals ----------------------------------------------------------------
 
-    def _get_workload(self):
-        if self._workload is None:
-            self._workload = _memory_workload(
-                self.prefixes, self.fib_seed, self.lookups,
-                self.traffic_seed)
-        return self._workload
-
-    def _oracle(self, kind: str,
-                protection: str) -> MemoryDifferentialOracle:
-        cell = (kind, protection)
-        oracle = self._oracles.get(cell)
-        if oracle is None:
-            routes, addresses = self._get_workload()
-            oracle = MemoryDifferentialOracle(
-                kind, protection, routes, addresses)
-            self._oracles[cell] = oracle
-        return oracle
-
     def _protection_cost(self, kind: str,
                          protection: str) -> Dict[str, object]:
         """Table-1-style pricing of the cell's protection hardware,
         measured on the clean golden build (deterministic, so rows are
         byte-identical across sequential/parallel/resumed runs)."""
-        oracle = self._oracle(kind, protection)
+        oracle = self.context.oracle(kind, protection)
         _ = oracle.golden
         return estimate_protection_overhead(
             kind, protection, self.prefixes,
             oracle.mean_lookup_steps, oracle.table_memory_bytes,
             oracle.protected_records if protection != "none" else 0)
 
-    def _run_pool(self, pending: List[MemoryTrial]) -> List[MemoryTrial]:
-        """Fan *pending* out over a process pool; returns the trials the
-        pool never finished (evaluated in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_memory_worker,
-            initargs=(self.prefixes, self.fib_seed, self.lookups,
-                      self.traffic_seed))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "kind": trial.kind, "protection": trial.protection,
-                    "site": trial.site, "trial": trial.index,
-                    "seed": trial.seed, "flips": trial.flips,
-                } for trial in chunk]
-                futures.append((pool.submit(_classify_memory_chunk,
-                                            payloads), chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller classifies what's left
-                    # in-process — slower, never wrong
-                    break
-                for trial, record in zip(chunk, records):
-                    self._persist(trial.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [trial for trial in pending
-                if trial.key not in self._records]
-
-    def _chunked(self, pending: Sequence[MemoryTrial]
-                 ) -> List[List[MemoryTrial]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, len(pending) // (self.jobs * 4))
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
+    def _publish(self, record: Dict[str, object]) -> None:
         """Parent-side, persist-time-only metrics (same discipline as
         the datapath sweep: resumed trials never double-count)."""
-        registry = get_registry()
-        if not registry.enabled:
+        outcome = _publish_trial(record)
+        if outcome is None:
             return
-        registry.counter(
-            "sdc_trials_total",
-            "classified injection trials by status", ("status",)
-        ).inc(status=record["status"])
-        if record["status"] != "ok":
-            return
-        outcome = record["outcome"]
-        registry.counter(
-            "sdc_outcomes_total",
-            "injection trials by oracle classification", ("outcome",)
-        ).inc(outcome=outcome["outcome"])
-        injections = registry.counter(
+        injections = get_registry().counter(
             "sdc_memory_injections_total",
             "table-state bit flips actually applied",
             ("memory_site", "protection"))

@@ -21,7 +21,7 @@ from repro.dse.config import (
     TABLE_KINDS,
     paper_configurations,
 )
-from repro.dse.evaluator import EvaluationResult, Evaluator
+from repro.dse.evaluator import ArchitectureEvaluator, EvaluationResult
 
 ROW_LABELS = ("1BUS/1FU", "3BUS/1FU", "3BUS/3CNT,3CMP,3M")
 
@@ -98,10 +98,10 @@ def table1_to_dict(rows: Sequence["Table1Row"],
     return payload
 
 
-def generate_table1(evaluator: Optional[Evaluator] = None,
+def generate_table1(evaluator: Optional[ArchitectureEvaluator] = None,
                     kinds: Sequence[str] = TABLE_KINDS) -> List[Table1Row]:
     """Evaluate all nine configurations and pair them with paper values."""
-    evaluator = evaluator or Evaluator()
+    evaluator = evaluator or ArchitectureEvaluator()
     rows: List[Table1Row] = []
     paper_by_key: Dict[Tuple[str, str], PaperRow] = {
         (r.table_kind, r.config_label): r for r in PAPER_TABLE1}

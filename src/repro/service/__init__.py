@@ -1,8 +1,8 @@
 """Self-healing campaign service: queue, cache, supervision, chaos.
 
-The DSE layer's runners (:mod:`repro.dse.campaign`,
-:mod:`repro.dse.parallel`) are libraries you call; this package turns
-them into a *service* you submit to:
+The DSE layer's campaign runners (:mod:`repro.dse.campaign`) are
+libraries you call; this package turns them into a *service* you
+submit to:
 
 * :mod:`repro.service.jobs` — the persistent job queue
   (:class:`CampaignService`): submit/status/poll/fetch/cancel over a

@@ -1,18 +1,17 @@
 """Supervised campaign execution: heartbeats, deadlines, degradation.
 
-:class:`SupervisedCampaignRunner` extends the parallel runner with the
-control-plane duties a long-lived service owes its jobs — the split the
-fast-programmable-router literature draws between a fast data path and a
-resilient management plane:
+:class:`SupervisedCampaignRunner` extends the parallel campaign runner
+with the control-plane duties a long-lived service owes its jobs — the
+split the fast-programmable-router literature draws between a fast data
+path and a resilient management plane:
 
-* **heartbeats** — a per-worker liveness map refreshed on every chunk
-  completion; if *no* chunk completes within the heartbeat deadline the
-  pool is declared stalled, its workers are terminated (SIGTERM — they
-  are stuck, so a join would block forever), and the in-flight work is
-  resolved through the existing single-config probe machinery;
-* **probe deadlines** — a probe that also stalls is terminated and its
-  configuration quarantined as :class:`~repro.errors.WorkerStallError`,
-  so one pathological configuration cannot wedge the service;
+* **heartbeats and probe deadlines** — armed on the shared
+  :class:`~repro.dse.sweep.SweepEngine` from the policy: if *no* chunk
+  completes within the heartbeat deadline the pool is declared stalled,
+  its workers are terminated and the in-flight work is resolved through
+  the engine's single-item probes; a probe that also stalls is
+  quarantined as :class:`~repro.errors.WorkerStallError`, so one
+  pathological configuration cannot wedge the service;
 * **graceful degradation** — every broken pool generation (crash or
   stall) shrinks the pool by one worker down to ``min_jobs``, trading
   throughput for survival instead of aborting;
@@ -31,18 +30,22 @@ resilient management plane:
   entries are quarantined and transparently recomputed.
 
 With no supervision policy and no cache this class behaves exactly like
-:class:`~repro.dse.parallel.ParallelCampaignRunner`.
+:class:`~repro.dse.campaign.ParallelCampaignRunner`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.dse.campaign import CampaignPolicy, CampaignResult
+from repro.dse.campaign import (
+    CampaignPolicy,
+    CampaignResult,
+    ParallelCampaignRunner,
+    config_key,
+)
 from repro.dse.config import ArchitectureConfiguration
-from repro.dse.parallel import ParallelCampaignRunner
 from repro.errors import JobTimeoutError
 from repro.faults.seeds import derive_seed, make_rng
 from repro.obs import get_registry
@@ -95,7 +98,6 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                  resume: bool = False,
                  policy: Optional[CampaignPolicy] = None,
                  chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  supervision: Optional[SupervisionPolicy] = None,
                  cache: Optional[EvaluationCache] = None,
                  seed: int = 0,
@@ -103,16 +105,15 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                  time_fn: Callable[[], float] = time.monotonic):
         super().__init__(evaluator_factory, jobs=jobs,
                          journal_path=journal_path, resume=resume,
-                         policy=policy, chunk_size=chunk_size,
-                         start_method=start_method)
+                         policy=policy, chunk_size=chunk_size)
         self.supervision = supervision or SupervisionPolicy()
+        self.heartbeat_seconds = self.supervision.heartbeat_seconds
+        self.probe_timeout_seconds = \
+            self.supervision.effective_probe_timeout()
         self.cache = cache
         self.sleep_fn = sleep_fn
         self.time_fn = time_fn
         self._rng = make_rng(derive_seed(seed, "service-backoff"))
-        #: pid -> last time the pool made progress while it was alive
-        self.heartbeats: Dict[int, float] = {}
-        self.stalls = 0
         self.pool_shrinks = 0
         self.cache_hits = 0
         self.backoff_seconds = 0.0
@@ -148,11 +149,10 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                          ) -> None:
         """Install every verified cache hit before anything dispatches.
 
-        Only ``ok`` records are ever cached (see :meth:`_persist`), so a
+        Only ``ok`` records are ever cached (see :meth:`_publish`), so a
         transient failure in one campaign can never haunt the next."""
         if self.cache is None:
             return
-        from repro.dse.campaign import config_key
         for config in configs:
             key = config_key(config)
             if key in self._records:
@@ -162,32 +162,13 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                 self.seed_record(key, record)
                 self.cache_hits += 1
 
-    def _persist(self, key, record):
-        record = super()._persist(key, record)
+    def _publish(self, record) -> None:
+        super()._publish(record)
         if self.cache is not None and record["status"] == "ok":
-            self.cache.put(key, record)
+            self.cache.put(record["key"], record)
         self._check_deadline()
-        return record
 
-    # -- supervision seams --------------------------------------------------------
-
-    def _heartbeat_seconds(self) -> Optional[float]:
-        return self.supervision.heartbeat_seconds
-
-    def _probe_timeout_seconds(self) -> Optional[float]:
-        return self.supervision.effective_probe_timeout()
-
-    def _handle_stall(self, pool, in_flight) -> bool:
-        """No completion within the heartbeat deadline: terminate the
-        stuck workers and hand their work to the probe machinery."""
-        self.stalls += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "service_worker_stalls_total",
-                "pool teardowns after a missed heartbeat deadline").inc()
-        self._terminate_pool_processes(pool)
-        return True
+    # -- degradation --------------------------------------------------------------
 
     def _after_broken_generation(self, suspects: int) -> None:
         """Degrade and back off after a crash or stall generation."""
@@ -220,24 +201,3 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                 "service_backoff_seconds_total",
                 "seconds slept before refilling broken pools").inc(delay)
         self.sleep_fn(delay)
-
-    # -- heartbeat bookkeeping ----------------------------------------------------
-
-    def _observe_chunk(self, future, submitted_at, chunk_seconds,
-                       registry) -> None:
-        super()._observe_chunk(future, submitted_at, chunk_seconds,
-                               registry)
-        self._beat()
-
-    def _beat(self) -> None:
-        """Refresh the liveness map for every currently alive worker."""
-        now = self.time_fn()
-        for pid in list(self._alive_worker_pids()):
-            self.heartbeats[pid] = now
-
-    def _alive_worker_pids(self) -> List[int]:
-        # multiprocessing keeps the authoritative list; fall back to the
-        # recorded map when no pool is up
-        import multiprocessing
-        return [child.pid for child in multiprocessing.active_children()
-                if child.pid is not None]

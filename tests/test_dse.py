@@ -4,10 +4,10 @@ import pytest
 
 from repro.dse import (
     ArchitectureConfiguration,
+    ArchitectureEvaluator,
     CampaignRunner,
     DesignConstraints,
     DesignSpace,
-    Evaluator,
     ExhaustiveExplorer,
     GreedyExplorer,
     PoisonedEvaluator,
@@ -26,13 +26,14 @@ from repro.estimation.technology import MAX_CLOCK_HZ
 
 @pytest.fixture(scope="module")
 def evaluator():
-    return Evaluator(table_entries=40, packet_batch=6)
+    return ArchitectureEvaluator(table_entries=40, packet_batch=6)
 
 
 @pytest.fixture(scope="module")
 def table1_rows():
     # module-scoped: the full nine-row evaluation is the expensive part
-    return generate_table1(Evaluator(table_entries=100, packet_batch=8))
+    return generate_table1(ArchitectureEvaluator(table_entries=100,
+                                                 packet_batch=8))
 
 
 class TestConfig:
@@ -213,8 +214,8 @@ class TestExplorers:
             def __getattr__(self, name):
                 return getattr(self.evaluator, name)
 
-        counting = CountingEvaluator(Evaluator(table_entries=20,
-                                               packet_batch=4))
+        counting = CountingEvaluator(ArchitectureEvaluator(
+            table_entries=20, packet_batch=4))
         explorer = GreedyExplorer(counting)
         explorer.explore(paper_space())
         explorer.explore(DesignSpace(bus_counts=(1, 2, 3),
@@ -232,7 +233,7 @@ class TestExplorers:
         poison = ArchitectureConfiguration(bus_count=1,
                                            table_kind="sequential")
         wrapped = PoisonedEvaluator(
-            Evaluator(table_entries=20, packet_batch=4), [poison])
+            ArchitectureEvaluator(table_entries=20, packet_batch=4), [poison])
         outcome = GreedyExplorer(wrapped).explore(paper_space())
         # the sequential climb dies at its start; the other table options
         # still produce a winner and the failure is reported, not raised
@@ -246,7 +247,8 @@ class TestExplorers:
                                            table_kind="sequential")
         journal = tmp_path / "journal.jsonl"
         runner = CampaignRunner(
-            PoisonedEvaluator(Evaluator(table_entries=20, packet_batch=4),
+            PoisonedEvaluator(ArchitectureEvaluator(table_entries=20,
+                                                    packet_batch=4),
                               [poison]),
             journal_path=str(journal))
         outcome = GreedyExplorer(runner).explore(paper_space())
@@ -285,7 +287,8 @@ class CrashOnceEvaluator:
 
     def __init__(self, victim, crashes=1):
         from repro.dse import config_key
-        self.evaluator = Evaluator(table_entries=20, packet_batch=4)
+        self.evaluator = ArchitectureEvaluator(table_entries=20,
+                                               packet_batch=4)
         self.victim_key = config_key(victim)
         self.remaining = crashes
         self.crash_count = 0
@@ -347,7 +350,7 @@ class TestTransientFailureRetry:
     def test_structural_failure_is_never_retried(self):
         poison = self.VICTIM
         runner = CampaignRunner(PoisonedEvaluator(
-            Evaluator(table_entries=20, packet_batch=4), [poison]))
+            ArchitectureEvaluator(table_entries=20, packet_batch=4), [poison]))
         sleeps = []
         explorer = GreedyExplorer(runner, sleep_fn=sleeps.append)
         outcome = explorer.explore(paper_space())

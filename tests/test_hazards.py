@@ -270,8 +270,8 @@ class TestDetectorWiring:
 
 class TestForwardingIntegration:
     def test_generated_programs_are_hazard_free(self):
-        from repro.dse import ArchitectureConfiguration, Evaluator
-        evaluator = Evaluator(table_entries=20, packet_batch=4,
+        from repro.dse import ArchitectureConfiguration, ArchitectureEvaluator
+        evaluator = ArchitectureEvaluator(table_entries=20, packet_batch=4,
                               detect_hazards=True)
         result = evaluator.evaluate(ArchitectureConfiguration(
             bus_count=3, table_kind="sequential"))
